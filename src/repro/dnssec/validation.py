@@ -27,7 +27,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.dnslib.constants import QueryType
-from repro.dnslib.message import DnsMessage, make_query
+from repro.dnslib.fastwire import build_query_wire
+from repro.dnslib.message import DnsMessage
 from repro.dnslib.records import ResourceRecord
 from repro.dnslib.signing import corrupt_rrsig, sign_rrset
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
@@ -37,6 +38,7 @@ from repro.netsim.network import Network
 from repro.netsim.packet import Datagram
 from repro.netsim.seeds import derive_seed
 from repro.stats import ValidationTable
+from repro.transport.base import Transport
 
 #: Splitmix64 lane tag for the census network/fault seeds (arbitrary,
 #: fixed forever: changing it reshuffles every census's packet fates).
@@ -54,6 +56,16 @@ BOGUS_LABEL = "bogus"
 #: they never collide with a sampled resolver.
 CONTROL_ADDRESS = "198.51.100.41"
 BOGUS_ADDRESS = "198.51.100.42"
+
+#: Most query shapes :class:`SigningAuthoritativeServer` memoises
+#: before it starts over. The census needs a handful; the bound keeps
+#: a server fed random qnames from growing the memo without limit.
+REPLY_MEMO_LIMIT = 1024
+
+#: Reply classes of :meth:`ValidationScanner.classify_reply`.
+REPLY_IGNORED = 0  # undecodable, no A record, or another qname
+REPLY_CONTROL = 1  # an A answer for the control name
+REPLY_BOGUS = 2  # an A answer for the bogus name
 
 
 def build_validation_zone(sld: str) -> Zone:
@@ -83,8 +95,57 @@ class SigningAuthoritativeServer(AuthoritativeServer):
     gating, because the census classifies resolvers by what they *do*
     with a signature, not by what they ask for. Overriding
     :meth:`respond` automatically disables the base class's verified
-    single-A fast path, so every query takes this path.
+    single-A fast path.
+
+    In its place :meth:`handle` memoises whole replies: the response
+    wire after the 2-byte message ID is a pure function of the query
+    bytes after the ID and of the loaded zones, so a repeated query
+    shape is answered by patching the ID into the stored reply. The
+    memo is cleared whenever the zone set changes (:meth:`load_zone`,
+    which :meth:`install_cluster` goes through, and
+    :meth:`unload_zone`), holds at most
+    :data:`REPLY_MEMO_LIMIT` shapes, and is bypassed whenever a query
+    has a per-query side effect beyond ``queries_served``: a rate
+    limiter, a retained query log, or a reload window.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._reply_tails: dict[bytes, bytes] = {}
+
+    def load_zone(self, zone: Zone) -> None:
+        super().load_zone(zone)
+        self._reply_tails.clear()
+
+    def unload_zone(self, origin: str) -> None:
+        super().unload_zone(origin)
+        self._reply_tails.clear()
+
+    def handle(self, datagram: Datagram, network: Transport) -> None:
+        now = network.now
+        if (
+            self.rate_limiter is not None
+            or self.retain_query_log
+            or now < self._loading_until
+        ):
+            super().handle(datagram, network)
+            return
+        payload = datagram.payload
+        key = payload[2:]
+        tail = self._reply_tails.get(key)
+        if tail is not None:
+            self.queries_served += 1
+            network.send(datagram.reply(payload[:2] + tail))
+            return
+        try:
+            query = decode_message(payload)
+        except DnsWireError:
+            return
+        wire = encode_message(self.respond(query, now))
+        if len(self._reply_tails) >= REPLY_MEMO_LIMIT:
+            self._reply_tails.clear()
+        self._reply_tails[key] = wire[2:]
+        network.send(datagram.reply(wire))
 
     def respond(self, query: DnsMessage, now: float) -> DnsMessage:
         response = super().respond(query, now)
@@ -159,24 +220,33 @@ class ValidationScanner:
         self.bogus_qname = f"{BOGUS_LABEL}.{origin}"
         self._answered_control: set[str] = set()
         self._answered_bogus: set[str] = set()
+        # Reply class by the reply's bytes after the message ID.
+        self._reply_classes: dict[bytes, int] = {}
 
     def scan(self, targets: list[str]) -> ValidationCensus:
         self.auth.load_zone(build_validation_zone(self.sld))
         self.network.bind(self.scanner_ip, self.source_port, self._on_response)
+        # The two queries differ per target only in the message ID:
+        # encode each once and patch the ID in.
+        tails = [
+            build_query_wire(qname)[2:]
+            for qname in (self.control_qname, self.bogus_qname)
+        ]
         try:
             for index, target in enumerate(targets):
-                for qname in (self.control_qname, self.bogus_qname):
-                    query = make_query(qname, msg_id=index & 0xFFFF)
+                msg_id = (index & 0xFFFF).to_bytes(2, "big")
+                for tail in tails:
                     self.network.send(
                         Datagram(
                             self.scanner_ip, self.source_port, target, 53,
-                            encode_message(query),
+                            msg_id + tail,
                         )
                     )
             self.network.run()
         finally:
             self.network.unbind(self.scanner_ip, self.source_port)
             self.auth.unload_zone(self.zone_origin)
+            self._reply_classes.clear()
         probed = set(targets)
         responsive = self._answered_control & probed
         validating = responsive - self._answered_bogus
@@ -187,16 +257,40 @@ class ValidationScanner:
             unresponsive=probed - responsive,
         )
 
-    def _on_response(self, datagram: Datagram, network: Network) -> None:
+    def classify_reply(self, payload: bytes) -> int:
+        """The reply's class: :data:`REPLY_CONTROL`, :data:`REPLY_BOGUS`
+        or :data:`REPLY_IGNORED`.
+
+        The class never reads the message ID, so it is memoised on the
+        bytes after it: each new reply shape is decoded once, and every
+        repeat costs one dict lookup.
+        """
+        key = payload[2:]
+        reply_class = self._reply_classes.get(key)
+        if reply_class is None:
+            reply_class = self._decode_reply_class(payload)
+            self._reply_classes[key] = reply_class
+        return reply_class
+
+    def _decode_reply_class(self, payload: bytes) -> int:
         try:
-            response = decode_message(datagram.payload)
+            response = decode_message(payload)
         except DnsWireError:
-            return
+            return REPLY_IGNORED
         if response.first_a_record() is None:
-            return  # SERVFAILs and empty answers are the validating signal
+            # SERVFAILs and empty answers are the validating signal.
+            return REPLY_IGNORED
         if response.qname == self.control_qname:
+            return REPLY_CONTROL
+        if response.qname == self.bogus_qname:
+            return REPLY_BOGUS
+        return REPLY_IGNORED
+
+    def _on_response(self, datagram: Datagram, network: Network) -> None:
+        reply_class = self.classify_reply(datagram.payload)
+        if reply_class == REPLY_CONTROL:
             self._answered_control.add(datagram.src_ip)
-        elif response.qname == self.bogus_qname:
+        elif reply_class == REPLY_BOGUS:
             self._answered_bogus.add(datagram.src_ip)
 
 

@@ -319,12 +319,15 @@ class BehaviorHost:
                 )
 
     def handle_upstream(self, datagram: Datagram, network: Transport) -> None:
-        fast = peek_single_a_response(datagram.payload)
+        payload = datagram.payload
+        if len(payload) < 2 or (payload[0] << 8 | payload[1]) not in self._pending:
+            # Ghost duplicate (msg_id 0 is never allocated) or junk: drop
+            # it before any parse, as a decode would only find no entry.
+            return
+        fast = peek_single_a_response(payload)
         if fast is not None:
             msg_id, question_wire, ttl, addr = fast
-            pending = self._pending.get(msg_id)
-            if pending is None:
-                return  # ghost duplicate
+            pending = self._pending[msg_id]
             fast_query = pending.fast
             if (
                 fast_query is not None
@@ -336,12 +339,10 @@ class BehaviorHost:
                 )
                 return
         try:
-            response = decode_message(datagram.payload)
+            response = decode_message(payload)
         except DnsWireError:
             return
-        pending = self._pending.pop(response.header.msg_id, None)
-        if pending is None:
-            return  # ghost duplicate
+        pending = self._pending.pop(response.header.msg_id)
         if self.dnssec_validating and not self._resolved_validates(response):
             self._respond_servfail(pending.client, pending.message())
             return

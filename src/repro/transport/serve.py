@@ -412,9 +412,9 @@ class DnsService:
         self._transport = AsyncUdpTransport(loop)
         self.world = build_world(self.config, self._transport)
         self.endpoint = self.world.endpoint
-        self._write_ready_file()
 
     def _write_ready_file(self) -> None:
+        """Publish the endpoint; readers never see a partial document."""
         if self.config.ready_file is None or self.endpoint is None:
             return
         document = {
@@ -424,9 +424,10 @@ class DnsService:
             "infra_port": self.world.infra_port if self.world else 0,
             "pid": os.getpid(),
         }
-        pathlib.Path(self.config.ready_file).write_text(
-            json.dumps(document) + "\n"
-        )
+        target = pathlib.Path(self.config.ready_file)
+        staging = target.with_name(target.name + ".tmp")
+        staging.write_text(json.dumps(document) + "\n")
+        os.replace(staging, target)
 
     def request_stop(self) -> None:
         """Signal-safe (loop-thread) stop request."""
@@ -463,8 +464,11 @@ class DnsService:
         loop = asyncio.new_event_loop()
         try:
             self._build(loop)
+            # Handlers before the ready file: a signal sent the moment
+            # the file appears must drain the daemon, not kill it.
             for signum in (signal.SIGTERM, signal.SIGINT):
                 loop.add_signal_handler(signum, self.request_stop)
+            self._write_ready_file()
             endpoint = self.endpoint
             announce(
                 f"serving profile '{self.config.profile}' on "
@@ -508,6 +512,7 @@ class DnsService:
         asyncio.set_event_loop(loop)
         try:
             self._build(loop)
+            self._write_ready_file()
         except BaseException as error:  # noqa: BLE001 - surfaced to start()
             self._startup_error = error
             self._ready.set()

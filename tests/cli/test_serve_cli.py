@@ -105,6 +105,36 @@ class TestServeCommand:
         assert process.returncode == 0, out
         assert "drained" in out
 
+    def test_sigterm_as_soon_as_ready_still_drains(self, tmp_path):
+        # The ready file is the daemon's promise that a signal drains
+        # it: poll without sleeping and signal the moment it appears.
+        ready = tmp_path / "ready.json"
+        metrics = tmp_path / "metrics.json"
+        process = subprocess.Popen(
+            [
+                sys.executable, "-c",
+                "import sys; from repro.cli.main import main; "
+                "sys.exit(main())",
+                "serve", "--port", "0",
+                "--ready-file", str(ready),
+                "--metrics-out", str(metrics),
+                "--drain-grace", "0.5",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        deadline = time.monotonic() + STARTUP_TIMEOUT
+        while not ready.exists():
+            if process.poll() is not None or time.monotonic() > deadline:
+                process.kill()
+                out, _ = process.communicate()
+                raise AssertionError(f"daemon never became ready:\n{out}")
+        process.send_signal(signal.SIGTERM)
+        out, _ = process.communicate(timeout=SHUTDOWN_TIMEOUT)
+        assert process.returncode == 0, out
+        assert "drained" in out
+        document = json.loads(metrics.read_text())
+        assert document["counters"]["serve.client_queries"] == 0
+
     def test_unknown_profile_is_an_argparse_error(self):
         result = subprocess.run(
             [
