@@ -8,7 +8,8 @@ cache-hit answers), which is what the daemon actually sustains, not a
 codec microbenchmark.
 
 Publishes machine-readable ``BENCH_serve.json`` (results/ and repo
-root, the ``BENCH_*.json`` convention). Unlike the seeded simulator
+root, the ``BENCH_*.json`` convention); the ``current`` record carries
+a host note (cores, Python, calibration score). Unlike the seeded simulator
 records this one *is* a timing, so the regression gate is generous
 (50%): it catches an accidental O(n) in the serving path, not CI noise.
 The gate skips cleanly on a fresh clone with no committed baseline.
@@ -21,6 +22,7 @@ import time
 from repro.dnslib.fastwire import build_query_wire
 from repro.transport.serve import DEFAULT_SLD, DnsService, ServeConfig
 from benchmarks.conftest import (
+    host_note,
     load_bench_record,
     publish_bench_record,
     write_result,
@@ -66,6 +68,7 @@ def measure_loopback_qps(queries: int = QUERIES) -> dict:
 def run_benchmark() -> dict:
     """Measure, merge with the committed baseline, write the JSON."""
     current = measure_loopback_qps()
+    current["host"] = host_note()
     # Missing or corrupt committed record (first run on a fresh clone)
     # degrades to "no baseline": the measurement is recorded and the
     # regression gate skips instead of erroring.

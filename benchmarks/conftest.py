@@ -10,7 +10,10 @@ each run.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
+import time
 
 import pytest
 
@@ -84,6 +87,27 @@ def load_bench_record(name: str) -> dict:
     except (OSError, ValueError):
         return {}
     return record if isinstance(record, dict) else {}
+
+
+def host_note() -> dict:
+    """Where a timing ran: usable cores, Python, and a calibration score.
+
+    The score is the best of five runs of a fixed 300k-iteration loop,
+    in millions of iterations per second, so records from hosts of
+    different speed can be told apart before they are compared.
+    """
+    best = float("inf")
+    for _ in range(5):
+        started = time.perf_counter()
+        value = 0
+        for index in range(300_000):
+            value = (value * 31 + index) & 0xFFFFFFF
+        best = min(best, time.perf_counter() - started)
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "calibration_mops": round(300_000 / best / 1e6, 3),
+    }
 
 
 def publish_bench_record(name: str, record: dict) -> str:

@@ -14,7 +14,8 @@ This module supplies that layer:
 
 - :func:`build_query_wire` — a query encoder that emits exactly the
   bytes of ``encode_message(make_query(...))`` without building either
-  object;
+  object (:func:`build_question_wire` + :func:`query_with_question`
+  when one question is re-sent under new ids);
 - :class:`Q1Template` — a pre-encoded probe query; rendering patches
   the message id and the fixed-width cluster/index digits into a
   reusable buffer;
@@ -26,6 +27,10 @@ This module supplies that layer:
   :class:`FastQuery` is interchangeable with the decoded message;
 - :func:`peek_single_a_response` — recognizer for the canonical
   single-A authoritative answer shape;
+- :func:`peek_referral` / :func:`peek_negative` / :func:`peek_a_answer`
+  (dispatched by :func:`peek_upstream_reply`) — strict recognizers for
+  the three upstream reply shapes an iterative resolver walks through,
+  returning exactly the fields it would read from ``decode_message``;
 - :class:`TemplateCache` — verified response templates: responses are
   encoded once per shape through the slow path, then replayed by
   patching the id and question span, with the first renders
@@ -40,21 +45,29 @@ difference; only the wall clock can.
 
 from __future__ import annotations
 
+import functools
 import struct
 
-from repro.dnslib.constants import DnsClass, QueryType
+from repro.dnslib.constants import DnsClass, QueryType, Rcode
 from repro.dnslib.message import DnsFlags, DnsHeader, DnsMessage, Question
 from repro.dnslib.names import normalize_name
+from repro.dnslib.records import AData, ResourceRecord
 from repro.dnslib.wire import encode_message
 
 __all__ = [
     "build_query_wire",
+    "build_question_wire",
+    "query_with_question",
     "Q1Template",
     "peek_header",
     "peek_msg_id",
     "peek_qname",
     "parse_simple_query",
     "peek_single_a_response",
+    "peek_referral",
+    "peek_negative",
+    "peek_a_answer",
+    "peek_upstream_reply",
     "FastQuery",
     "TemplateCache",
 ]
@@ -77,12 +90,19 @@ def build_query_wire(
     recursion_desired))`` — the first name written never compresses, so
     the wire is a pure function of the arguments.
     """
-    name = normalize_name(qname)
-    out = bytearray(12)
-    _QUERY_HEAD.pack_into(
-        out, 0,
-        msg_id & 0xFFFF, _RD_FLAG if recursion_desired else 0, 1, 0, 0, 0,
+    return query_with_question(
+        build_question_wire(qname, qtype, qclass), msg_id, recursion_desired
     )
+
+
+def build_question_wire(
+    qname: str,
+    qtype: "QueryType | int" = QueryType.A,
+    qclass: "DnsClass | int" = DnsClass.IN,
+) -> bytes:
+    """The question section :func:`build_query_wire` puts after the header."""
+    name = normalize_name(qname)
+    out = bytearray()
     for label in name.split("."):
         encoded = label.encode("ascii", errors="replace")
         out.append(len(encoded))
@@ -90,6 +110,17 @@ def build_query_wire(
     out.append(0)
     out += struct.pack(">HH", int(qtype), int(qclass))
     return bytes(out)
+
+
+def query_with_question(
+    question: bytes, msg_id: int, recursion_desired: bool = True
+) -> bytes:
+    """A one-question query: the header for ``msg_id``, then ``question``
+    (as :func:`build_question_wire` makes it). A sender that re-asks one
+    question under new ids builds the question once."""
+    return _QUERY_HEAD.pack(
+        msg_id & 0xFFFF, _RD_FLAG if recursion_desired else 0, 1, 0, 0, 0,
+    ) + question
 
 
 def peek_header(wire: bytes) -> tuple[int, int, int, int, int, int] | None:
@@ -144,6 +175,10 @@ for _b in range(0x21, 0x7F):
 _SAFE_LABEL_BYTE[0x2E] = 0  # "."
 for _b in range(0x41, 0x5B):  # A-Z
     _SAFE_LABEL_BYTE[_b] = 0
+
+#: The same set as a ``bytes.translate`` deletion table: a label is
+#: safe when nothing is left after deleting these bytes.
+_SAFE_BYTES = bytes(b for b in range(256) if _SAFE_LABEL_BYTE[b])
 
 #: Classes the fast path will carry; anything exotic goes slow.
 _KNOWN_CLASSES = frozenset(int(member) for member in DnsClass)
@@ -201,7 +236,6 @@ def parse_simple_query(payload: bytes) -> FastQuery | None:
         return None
     if payload[4:12] != b"\x00\x01\x00\x00\x00\x00\x00\x00":
         return None
-    safe = _SAFE_LABEL_BYTE
     labels = []
     offset = 12
     end = len(payload)
@@ -217,10 +251,10 @@ def parse_simple_query(payload: bytes) -> FastQuery | None:
         stop = offset + 1 + label_len
         if stop > end:
             return None
-        for index in range(offset + 1, stop):
-            if not safe[payload[index]]:
-                return None
-        labels.append(payload[offset + 1:stop].decode("ascii"))
+        label = payload[offset + 1:stop]
+        if label.translate(None, _SAFE_BYTES):
+            return None  # a byte outside _SAFE_LABEL_BYTE
+        labels.append(label)
         offset = stop
     if not labels or offset - 12 > 254:
         return None
@@ -232,7 +266,7 @@ def parse_simple_query(payload: bytes) -> FastQuery | None:
     return FastQuery(
         payload[0] << 8 | payload[1],
         flags_word,
-        ".".join(labels),
+        b".".join(labels).decode("ascii"),
         payload[offset] << 8 | payload[offset + 1],
         qclass,
         payload[12:],
@@ -284,6 +318,291 @@ def peek_single_a_response(
         int.from_bytes(answer[6:10], "big"),
         answer[12:16],
     )
+
+
+#: Longest name (sum of label lengths + length octets) the recognizers
+#: accept: one more and ``normalize_name`` would refuse the dotted form.
+_MAX_NAME_OCTETS = 254
+_RR_HEAD = struct.Struct(">HHIH")
+_TYPE_A = int(QueryType.A)
+_TYPE_NS = int(QueryType.NS)
+_TYPE_SOA = int(QueryType.SOA)
+_CLASS_IN = int(DnsClass.IN)
+_RCODES = frozenset(int(member) for member in Rcode)
+
+
+def _read_name(payload: bytes, offset: int,
+               known: dict) -> tuple[str, int] | None:
+    """``(name, next_offset)`` exactly as ``WireReader.read_name`` reads
+    it, or None.
+
+    Walks the same way (backward pointers only, at most 128 jumps) but
+    refuses every name the slow reader would reject or rewrite: labels
+    must be plain lower-case printable bytes, and the name must be short
+    enough for ``normalize_name`` to accept its dotted form. ``known``
+    maps offsets of already-checked names (the echoed question's label
+    starts) to ``(name, octets)``, so a pointer there ends the walk.
+    """
+    end = len(payload)
+    labels = []
+    resume = None
+    jumps = 0
+    octets = 0
+    cursor = offset
+    while True:
+        if cursor >= end:
+            return None
+        length = payload[cursor]
+        if length >= 0xC0:
+            if cursor + 1 >= end:
+                return None
+            target = (length & 0x3F) << 8 | payload[cursor + 1]
+            if target >= cursor:
+                return None
+            if resume is None:
+                resume = cursor + 2
+            jumps += 1
+            if jumps > 128:
+                return None
+            suffix = known.get(target)
+            if suffix is not None:
+                tail, tail_octets = suffix
+                if octets + tail_octets > _MAX_NAME_OCTETS:
+                    return None
+                if not labels:
+                    return tail, resume
+                head = b".".join(labels).decode("ascii")
+                return (head + "." + tail if tail else head), resume
+            cursor = target
+            continue
+        if length & 0xC0:
+            return None
+        if length == 0:
+            cursor += 1
+            break
+        stop = cursor + 1 + length
+        if stop > end:
+            return None
+        label = payload[cursor + 1:stop]
+        if label.translate(None, _SAFE_BYTES):
+            return None
+        octets += length + 1
+        if octets > _MAX_NAME_OCTETS:
+            return None
+        labels.append(label)
+        cursor = stop
+    name = b".".join(labels).decode("ascii")
+    return name, resume if resume is not None else cursor
+
+
+@functools.lru_cache(maxsize=256)
+def _question_suffixes(question: bytes) -> dict | None:
+    """The names a reply's echoed ``question`` holds, or None.
+
+    ``question`` must be one name of plain labels (no pointer) the
+    strict reader accepts, then qtype and qclass. The result maps the
+    offset (in a reply) of each label start, and of the terminator, to
+    ``(suffix name, octets)``: the targets a record name's compression
+    pointer most often has. A resolver re-sends one question under
+    several ids, so the result is cached.
+    """
+    end = len(question) - 4
+    offset = 0
+    starts = []
+    labels = []
+    while True:
+        if offset >= end:
+            return None
+        length = question[offset]
+        if length == 0:
+            break
+        if length & 0xC0:
+            return None
+        stop = offset + 1 + length
+        if stop > end or question[offset + 1:stop].translate(None, _SAFE_BYTES):
+            return None
+        starts.append(offset)
+        labels.append(question[offset + 1:stop].decode("ascii"))
+        offset = stop
+    if offset + 1 != end or offset > _MAX_NAME_OCTETS:
+        return None
+    known = {12 + offset: ("", 0)}
+    for index, start in enumerate(starts):
+        known[12 + start] = (".".join(labels[index:]), offset - start)
+    return known
+
+
+def _read_rr_head(payload: bytes, offset: int, known: dict):
+    """``(owner, rtype, rclass, ttl, rdata_start, rdata_end)`` or None."""
+    owner = _read_name(payload, offset, known)
+    if owner is None:
+        return None
+    name, offset = owner
+    if offset + 10 > len(payload):
+        return None
+    rtype, rclass, ttl, rdlength = _RR_HEAD.unpack_from(payload, offset)
+    start = offset + 10
+    stop = start + rdlength
+    if stop > len(payload):
+        return None
+    return name, rtype, rclass, ttl, start, stop
+
+
+def _reply_counts(payload: bytes, question: bytes):
+    """``(rcode, an, ns, ar, known)`` of a reply echoing ``question``,
+    or None.
+
+    ``question`` is the question section the resolver sent (what
+    :func:`build_question_wire` makes). The reply must be a QUERY
+    response with that exact question, a name the strict reader
+    accepts, and an rcode :class:`Rcode` knows. ``known`` is
+    :func:`_question_suffixes` of the question.
+    """
+    qend = 12 + len(question)
+    if len(payload) < qend or payload[2] & 0xF8 != 0x80:
+        return None
+    if payload[4] != 0 or payload[5] != 1:
+        return None
+    if payload[12:qend] != question:
+        return None
+    known = _question_suffixes(question)
+    if known is None:
+        return None
+    rcode = payload[3] & 0x0F
+    if rcode not in _RCODES:
+        return None
+    return (
+        rcode,
+        payload[6] << 8 | payload[7],
+        payload[8] << 8 | payload[9],
+        payload[10] << 8 | payload[11],
+        known,
+    )
+
+
+def peek_referral(payload: bytes, question: bytes):
+    """Recognize a referral: NOERROR, no answers, NS records in the
+    authority section and A glue in the additional section, all class
+    IN, nothing after the last record.
+
+    Returns ``(rcode, answers, ns_names, glue)`` — ``(0, [], [NS
+    target, ...], [(glue owner, address), ...])`` in wire order, exactly
+    what the resolver reads off ``decode_message``'s result — or None,
+    and the caller decodes the reply in full.
+    """
+    counts = _reply_counts(payload, question)
+    if counts is None:
+        return None
+    rcode, ancount, nscount, arcount, known = counts
+    if rcode != 0 or ancount != 0 or nscount == 0:
+        return None
+    offset = 12 + len(question)
+    ns_names = []
+    for _ in range(nscount):
+        head = _read_rr_head(payload, offset, known)
+        if head is None:
+            return None
+        _, rtype, rclass, _, start, stop = head
+        if rtype != _TYPE_NS or rclass != _CLASS_IN:
+            return None
+        target = _read_name(payload, start, known)
+        if target is None or target[1] != stop:
+            return None
+        ns_names.append(target[0])
+        offset = stop
+    glue = []
+    for _ in range(arcount):
+        head = _read_rr_head(payload, offset, known)
+        if head is None:
+            return None
+        owner, rtype, rclass, _, start, stop = head
+        if rtype != _TYPE_A or rclass != _CLASS_IN or stop - start != 4:
+            return None
+        glue.append((owner, "%d.%d.%d.%d" % tuple(payload[start:stop])))
+        offset = stop
+    if offset != len(payload):
+        return None
+    return 0, [], ns_names, glue
+
+
+def peek_negative(payload: bytes, question: bytes):
+    """Recognize a negative reply: no answers, no additionals, and at
+    most one SOA record (class IN) in the authority section.
+
+    Covers NXDOMAIN, REFUSED, SERVFAIL and the NOERROR/NODATA shape.
+    Returns ``(rcode, [], [], [])`` — the SOA is checked for
+    well-formedness but carries nothing the resolver reads — or None.
+    """
+    counts = _reply_counts(payload, question)
+    if counts is None:
+        return None
+    rcode, ancount, nscount, arcount, known = counts
+    if ancount != 0 or arcount != 0 or nscount > 1:
+        return None
+    offset = 12 + len(question)
+    if nscount:
+        head = _read_rr_head(payload, offset, known)
+        if head is None:
+            return None
+        _, rtype, rclass, _, start, stop = head
+        if rtype != _TYPE_SOA or rclass != _CLASS_IN:
+            return None
+        mname = _read_name(payload, start, known)
+        if mname is None:
+            return None
+        rname = _read_name(payload, mname[1], known)
+        if rname is None or rname[1] + 20 != stop:
+            return None
+        offset = stop
+    if offset != len(payload):
+        return None
+    return rcode, [], [], []
+
+
+def peek_a_answer(payload: bytes, question: bytes):
+    """Recognize a single-A answer: NOERROR, one class-IN A record in
+    the answer section, nothing else.
+
+    Returns ``(0, [record], [], [])`` with the
+    :class:`~repro.dnslib.records.ResourceRecord` ``decode_message``
+    would build, or None.
+    """
+    counts = _reply_counts(payload, question)
+    if counts is None or counts[:4] != (0, 1, 0, 0):
+        return None
+    head = _read_rr_head(payload, 12 + len(question), counts[4])
+    if head is None:
+        return None
+    owner, rtype, rclass, ttl, start, stop = head
+    if (
+        rtype != _TYPE_A or rclass != _CLASS_IN or stop - start != 4
+        or stop != len(payload)
+    ):
+        return None
+    record = ResourceRecord(
+        owner, QueryType.A, rclass, ttl,
+        AData("%d.%d.%d.%d" % tuple(payload[start:stop])),
+    )
+    return 0, [record], [], []
+
+
+def peek_upstream_reply(payload: bytes, question: bytes):
+    """The fields of a referral, negative or single-A reply, or None.
+
+    Dispatches on the answer count to :func:`peek_a_answer`, else
+    :func:`peek_referral` then :func:`peek_negative`. Every reply one
+    of them accepts decodes under ``decode_message`` to a message with
+    the same rcode, answers, NS targets and A glue.
+    """
+    if len(payload) < 12:
+        return None
+    if payload[6] or payload[7]:
+        return peek_a_answer(payload, question)
+    if payload[3] & 0x0F == 0 and (payload[8] or payload[9]):
+        fields = peek_referral(payload, question)
+        if fields is not None:
+            return fields
+    return peek_negative(payload, question)
 
 
 class Q1Template:
@@ -353,7 +672,15 @@ def encode_wire_reference(qname, qtype, msg_id, recursion_desired) -> bytes:
 
 
 def _label_suffixes(name: str) -> list[str]:
-    """Every whole-label suffix of a dotted name, longest first."""
+    """Every whole-label suffix of a dotted name, longest first.
+
+    The name is first put in the form ``WireWriter.write_name`` writes
+    (lower case, no trailing dot), so a guard given in any case covers
+    the suffixes the encoder actually compresses against.
+    """
+    name = name.lower()
+    if name.endswith("."):
+        name = name[:-1]
     labels = name.split(".")
     return [".".join(labels[start:]) for start in range(len(labels))]
 
@@ -451,18 +778,26 @@ class _ResponseTemplate:
         return bytes(head) + span + self._tail
 
 
+#: Most response shapes one :class:`TemplateCache` holds at a time.
+TEMPLATE_LIMIT = 1024
+
+
 class TemplateCache:
     """Per-shape cache of verified response templates.
 
     ``render(key, query, slow_render)`` always returns exactly the
     bytes ``slow_render()`` would: the first call per key runs the slow
     encoder and derives a template from its output; the next renders
-    for *distinct* qnames are computed both ways and byte-compared
+    for *other* qnames are computed both ways and byte-compared
     (mismatch retires the template permanently and ships the slow
-    bytes); only then does the patched fast render fly solo. Keys must
+    bytes); only then does the patched fast render fly solo for every
+    qname. The sample's own qname is rendered from the template from
+    the start: its bytes differ from the sample's only in the id. Keys must
     capture everything the response depends on besides (msg_id, qname)
     — callers put qtype, qclass, the rd bit, and any answer content in
-    the key.
+    the key. At most :data:`TEMPLATE_LIMIT` keys are held; a new key
+    past the bound clears the cache, so shapes keyed on unbounded
+    content (a resolver's cached answers) cannot grow it without limit.
     """
 
     __slots__ = ("_entries", "_verifies")
@@ -476,18 +811,21 @@ class TemplateCache:
         entry = self._entries.get(key)
         if entry is None:
             slow = slow_render()
+            if len(self._entries) >= TEMPLATE_LIMIT:
+                self._entries.clear()
             self._entries[key] = _ResponseTemplate(
                 query, slow, guard_names, self._verifies
             )
             return slow
         if entry.dead or not entry.matches(query):
             return slow_render()
-        if entry.remaining_verifies > 0:
+        if entry.remaining_verifies > 0 and query.qname != entry.sample_qname:
             slow = slow_render()
             if entry.render(query) != slow:
                 entry.dead = True
                 return slow
-            if query.qname != entry.sample_qname:
-                entry.remaining_verifies -= 1
+            entry.remaining_verifies -= 1
             return slow
+        # Verified, or the sample's own qname: the template was cut from
+        # that qname's slow render, so only the patched id can differ.
         return entry.render(query)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.dnslib.buffer import DnsWireError, WireReader, WireWriter
 from repro.dnslib.constants import QueryType
 from repro.dnslib.message import DnsFlags, DnsHeader, DnsMessage, Question
+from repro.dnslib.names import DnsNameError
 from repro.dnslib.records import ResourceRecord
 
 __all__ = [
@@ -60,8 +61,17 @@ def decode_message(data: bytes) -> DnsMessage:
 
     Raises :class:`DnsWireError` on any structural corruption — the
     analysis pipeline catches this to count undecodable responses the
-    way the paper's libpcap parser did (section IV-C "Caveats").
+    way the paper's libpcap parser did (section IV-C "Caveats"). A name
+    that decodes but is not a valid domain name (a "." byte inside a
+    label, or too long once dotted) is corruption too.
     """
+    try:
+        return _decode_message(data)
+    except DnsNameError as exc:
+        raise DnsWireError(f"undecodable name: {exc}") from exc
+
+
+def _decode_message(data: bytes) -> DnsMessage:
     if len(data) < 12:
         raise DnsWireError(f"packet shorter than DNS header: {len(data)} bytes")
     reader = WireReader(data)

@@ -20,7 +20,7 @@ import dataclasses
 from repro.dnslib.constants import QueryType, Rcode
 from repro.dnslib.fastwire import FastQuery, TemplateCache, parse_simple_query
 from repro.dnslib.message import DnsMessage, make_response
-from repro.dnslib.records import AData
+from repro.dnslib.records import AData, SoaData
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnslib.zone import Zone
 from repro.netsim.packet import Datagram
@@ -164,54 +164,73 @@ class AuthoritativeServer:
 
     def _serve_fast(self, fast_query: FastQuery, datagram: Datagram,
                     network: Transport, now: float) -> bool:
-        """Answer the canonical single-A query via a verified template.
+        """Answer the canonical shapes via verified templates.
 
-        Handles only the shape Q2 traffic actually has — zones found,
-        disposition "answer", exactly one A record owned by the qname —
-        and produces byte-for-byte what decode/respond/encode would
-        (:class:`TemplateCache` enforces this). Everything else returns
-        False and takes the slow path, which does all the counting, so
-        this method bumps the same counters only when it fully serves.
+        Handles the shapes Q2 and recursive-miss traffic actually have
+        — a zone found, and either disposition "answer" with exactly
+        one A record owned by the qname, or a negative disposition
+        (NXDOMAIN, NODATA) answered with the zone's SOA, if any, in the
+        authority section — and produces byte-for-byte what
+        decode/respond/encode would (:class:`TemplateCache` enforces
+        this). Everything else returns False and takes the slow path,
+        which does all the counting, so this method bumps the same
+        counters only when it fully serves.
         """
-        zones = self.zones_for(fast_query.qname)
+        qname = fast_query.qname
+        zones = self.zones_for(qname)
         if not zones:
             return False
-        disposition, records = "nxdomain", []
-        for candidate in zones:
-            disposition, records = candidate.lookup(
-                fast_query.qname, fast_query.qtype
+        disposition, records, zone = self._lookup(zones, qname, fast_query.qtype)
+        rd = fast_query.flags_word & 0x0100
+        if disposition == "answer":
+            if len(records) != 1:
+                return False
+            record = records[0]
+            if (
+                record.rtype != QueryType.A
+                or record.name != qname
+                or type(record.data) is not AData
+            ):
+                return False
+            rcode = Rcode.NOERROR
+            key = (
+                fast_query.qtype, fast_query.qclass, rd,
+                int(record.rclass), record.ttl, record.data.address,
             )
-            if disposition not in ("nxdomain", "out-of-zone"):
-                break
-        if disposition != "answer" or len(records) != 1:
+            answers, authorities, guards = [record], [], ()
+        elif disposition == "cname":
             return False
-        record = records[0]
-        if (
-            record.rtype != QueryType.A
-            or record.name != fast_query.qname
-            or type(record.data) is not AData
-        ):
-            return False
-        key = (
-            fast_query.qtype, fast_query.qclass,
-            fast_query.flags_word & 0x0100,
-            int(record.rclass), record.ttl, record.data.address,
-        )
+        else:
+            # "nodata", or the NXDOMAIN respond() gives every other
+            # disposition ("nxdomain", "out-of-zone").
+            rcode = Rcode.NOERROR if disposition == "nodata" else Rcode.NXDOMAIN
+            soa = zone.soa()
+            answers, authorities = [], [soa] if soa else []
+            guards = ()
+            if soa is not None:
+                if type(soa.data) is not SoaData:
+                    return False
+                guards = (soa.name, soa.data.mname, soa.data.rname)
+            key = (
+                rcode, fast_query.qtype, fast_query.qclass, rd,
+                len(qname), soa,
+            )
         wire = self._templates.render(
             key, fast_query,
             lambda: encode_message(
                 make_response(
-                    fast_query.to_message(), answers=[record],
-                    aa=True, ra=False,
+                    fast_query.to_message(), rcode=rcode, answers=answers,
+                    authorities=authorities, aa=True, ra=False,
                 )
             ),
+            guards,
         )
         self.queries_served += 1
         if self.retain_query_log:
             self.query_log.append(
                 QueryLogEntry(
-                    now, datagram.src_ip, fast_query.qname,
-                    int(fast_query.qtype), 0,
+                    now, datagram.src_ip, qname,
+                    int(fast_query.qtype), int(rcode),
                 )
             )
         if self.rate_limiter is not None and not self.rate_limiter.allow(
@@ -233,14 +252,9 @@ class AuthoritativeServer:
         zones = self.zones_for(question.qname)
         if not zones:
             return make_response(query, rcode=Rcode.REFUSED, aa=False, ra=False)
-        # Prefer the freshest zone; fall back through retired clusters for
-        # names that predate the current one.
-        disposition, records, zone = "nxdomain", [], zones[0]
-        for candidate in zones:
-            disposition, records = candidate.lookup(question.qname, question.qtype)
-            zone = candidate
-            if disposition not in ("nxdomain", "out-of-zone"):
-                break
+        disposition, records, zone = self._lookup(
+            zones, question.qname, question.qtype
+        )
         if disposition == "answer":
             return make_response(query, answers=records, aa=True, ra=False)
         if disposition == "cname":
@@ -259,6 +273,19 @@ class AuthoritativeServer:
         return make_response(
             query, rcode=Rcode.NXDOMAIN, authorities=authorities, aa=True, ra=False
         )
+
+    @staticmethod
+    def _lookup(zones: list[Zone], qname: str, qtype: int):
+        """``(disposition, records, zone)`` from the freshest zone that
+        knows ``qname``, falling back through retired clusters for names
+        that predate the current one; else the last zone's answer."""
+        disposition, records, zone = "nxdomain", [], zones[0]
+        for candidate in zones:
+            disposition, records = candidate.lookup(qname, qtype)
+            zone = candidate
+            if disposition not in ("nxdomain", "out-of-zone"):
+                break
+        return disposition, records, zone
 
     # -- introspection -------------------------------------------------------
 

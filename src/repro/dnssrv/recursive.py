@@ -9,6 +9,14 @@ queries are matched to pending resolutions by message ID, retries move
 to the next server of the current referral level, and exhaustion or
 depth overrun yields SERVFAIL — the standard-conformant behaviors the
 paper's deviant resolvers fail to exhibit.
+
+A cache miss costs a client query, three upstream queries and three
+replies, and the client's answer. Each of those takes the
+``repro.dnslib.fastwire`` layer when it can (DESIGN.md §8, "serve
+path"): strictly parsed client queries, ``build_query_wire`` upstream
+queries, recognized referral/negative/single-A replies, and verified
+response templates. Each fast path yields exactly the slow path's
+bytes or fields, or steps aside and the full codec runs.
 """
 
 from __future__ import annotations
@@ -16,8 +24,29 @@ from __future__ import annotations
 import dataclasses
 
 from repro.dnslib.chaos import is_version_bind_query, version_bind_response
-from repro.dnslib.constants import QueryType, Rcode
+from repro.dnslib.constants import DnsClass, QueryType, Rcode
+from repro.dnslib.fastwire import (
+    FastQuery,
+    TemplateCache,
+    build_question_wire,
+    parse_simple_query,
+    peek_upstream_reply,
+    query_with_question,
+)
 from repro.dnslib.message import DnsMessage, make_query, make_response
+from repro.dnslib.records import (
+    AaaaData,
+    AData,
+    CnameData,
+    MxData,
+    NsData,
+    OptData,
+    PtrData,
+    RawData,
+    RrsigData,
+    SoaData,
+    TxtData,
+)
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnssrv.cache import DnsCache
 from repro.netsim.packet import Datagram
@@ -26,6 +55,19 @@ from repro.transport.base import CancelHandle, Transport
 
 #: Port the engine uses for its upstream (iterative) queries.
 UPSTREAM_PORT = 10053
+
+#: Upstream message IDs run 1..0xFFFF; this many in flight exhausts them.
+_TXID_SPACE = 0xFFFF
+
+#: The names an RDATA type writes (and so may compress against the
+#: qname), by type. A reply whose answers hold any other type is
+#: rendered by the full codec only.
+_RDATA_NAMES = {
+    AData: (), AaaaData: (), TxtData: (), RawData: (), OptData: (),
+    NsData: ("nsdname",), CnameData: ("cname",), PtrData: ("ptrdname",),
+    MxData: ("exchange",), SoaData: ("mname", "rname"),
+    RrsigData: ("signer_name",),
+}
 
 
 @dataclasses.dataclass
@@ -43,7 +85,8 @@ class ResolutionTrace:
 @dataclasses.dataclass
 class _Pending:
     client: Datagram | None
-    query: DnsMessage | None
+    #: The client's query: decoded, or strictly parsed on the fast path.
+    query: DnsMessage | FastQuery | None
     qname: str
     qtype: int
     servers: list[str]
@@ -60,6 +103,10 @@ class _Pending:
     #: flight, and whether one already resumed the referral walk.
     ns_outstanding: int = 0
     ns_resumed: bool = False
+    #: The question section of the upstream queries for ``qname``, as
+    #: sent; a reply is read on the fast path only if it echoes these
+    #: bytes. Cleared when a CNAME restart changes the name.
+    question: bytes = b""
 
 
 @dataclasses.dataclass
@@ -76,6 +123,10 @@ class ResolverStats:
     load_shed: int = 0
     glueless_launched: int = 0
     glueless_capped: int = 0
+    #: Upstream ID allocation: IDs skipped because still in flight, and
+    #: resolutions failed because every ID was.
+    txid_collisions: int = 0
+    txid_exhausted: int = 0
 
 
 class RecursiveResolver:
@@ -170,6 +221,10 @@ class RecursiveResolver:
         self._pending: dict[int, _Pending] = {}
         self._negative: dict[tuple[str, int], tuple[float, int]] = {}
         self._next_id = 1
+        # Verified templates for the client replies. Tests turn
+        # _fast_ok off to run every codec call through the full codec.
+        self._templates = TemplateCache()
+        self._fast_ok = True
 
     # -- wiring ------------------------------------------------------------
 
@@ -197,13 +252,22 @@ class RecursiveResolver:
     # -- client side ---------------------------------------------------------
 
     def handle_client(self, datagram: Datagram, network: Transport) -> None:
+        if self._fast_ok and self.policy is None:
+            fast_query = parse_simple_query(datagram.payload)
+            if fast_query is not None and fast_query.qclass == DnsClass.IN:
+                self.stats.client_queries += 1
+                self._resolve(
+                    datagram, network, fast_query,
+                    fast_query.qname, fast_query.qtype, None,
+                )
+                return
         try:
             query = decode_message(datagram.payload)
         except DnsWireError:
             return
         self.stats.client_queries += 1
         if not query.questions:
-            self._reply(datagram, make_response(query, rcode=Rcode.FORMERR, ra=True))
+            self._reply(datagram, query, Rcode.FORMERR)
             return
         if is_version_bind_query(query):
             network.send(
@@ -214,46 +278,51 @@ class RecursiveResolver:
         if self.policy is not None:
             decision = self.policy.evaluate_query(datagram.src_ip, query.qname)
             if decision.action is PolicyAction.REFUSE:
-                self._reply(
-                    datagram, make_response(query, rcode=Rcode.REFUSED, ra=True)
-                )
+                self._reply(datagram, query, Rcode.REFUSED)
                 return
             if decision.action is PolicyAction.NXDOMAIN:
                 self.stats.nxdomain += 1
-                self._reply(
-                    datagram, make_response(query, rcode=Rcode.NXDOMAIN, ra=True)
-                )
+                self._reply(datagram, query, Rcode.NXDOMAIN)
                 return
             if decision.action is PolicyAction.SINKHOLE:
                 self.stats.answered += 1
                 self._reply(
-                    datagram,
-                    make_response(
-                        query,
-                        answers=[self.policy.sinkhole_answer(query.qname)],
-                        ra=True,
-                    ),
+                    datagram, query,
+                    answers=[self.policy.sinkhole_answer(query.qname)],
                 )
                 return
             if decision.action is PolicyAction.ROUTE:
                 route_servers = [decision.target]
+        question = query.questions[0]
+        self._resolve(
+            datagram, network, query,
+            question.qname, int(question.qtype), route_servers,
+        )
+
+    def _resolve(
+        self,
+        datagram: Datagram,
+        network: Transport,
+        query: DnsMessage | FastQuery,
+        qname: str,
+        qtype: int,
+        route_servers: list[str] | None,
+    ) -> None:
+        """Quota, cache, negative cache, load shedding, then recursion."""
         if self.query_quota is not None and not self.query_quota.allow(
             datagram.src_ip, network.now
         ):
             self.stats.quota_refused += 1
-            self._reply(
-                datagram, make_response(query, rcode=Rcode.REFUSED, ra=True)
-            )
+            self._reply(datagram, query, Rcode.REFUSED)
             return
-        question = query.questions[0]
-        cached = self.cache.get(question.qname, question.qtype, network.now)
+        cached = self.cache.get(qname, qtype, network.now)
         if cached is not None:
             self.stats.cache_answers += 1
             self.stats.answered += 1
-            self._reply(datagram, make_response(query, answers=cached, ra=True))
+            self._reply(datagram, query, answers=cached)
             return
         if self.negative_ttl > 0.0:
-            entry = self._negative.get((question.qname, int(question.qtype)))
+            entry = self._negative.get((qname, qtype))
             if entry is not None:
                 expires, rcode = entry
                 if network.now < expires:
@@ -262,57 +331,99 @@ class RecursiveResolver:
                         self.stats.nxdomain += 1
                     else:
                         self.stats.servfail += 1
-                    self._reply(
-                        datagram, make_response(query, rcode=rcode, ra=True)
-                    )
+                    self._reply(datagram, query, rcode)
                     return
-                del self._negative[(question.qname, int(question.qtype))]
+                del self._negative[(qname, qtype)]
         if self.max_pending is not None and len(self._pending) >= self.max_pending:
             self.stats.load_shed += 1
             self.stats.servfail += 1
-            self._reply(
-                datagram, make_response(query, rcode=Rcode.SERVFAIL, ra=True)
-            )
+            self._reply(datagram, query, Rcode.SERVFAIL)
             return
         pending = _Pending(
             client=datagram,
             query=query,
-            qname=question.qname,
-            qtype=int(question.qtype),
+            qname=qname,
+            qtype=qtype,
             servers=route_servers if route_servers is not None else list(self.root_servers),
         )
         if self.record_traces:
-            pending.trace = ResolutionTrace(question.qname)
+            pending.trace = ResolutionTrace(qname)
             self.traces.append(pending.trace)
         self._send_upstream(pending)
 
     # -- upstream side ---------------------------------------------------
 
+    def _allocate_txid(self) -> int | None:
+        """The next free upstream message ID, skipping IDs in flight.
+
+        Overwriting a live entry on wraparound would orphan the older
+        resolution and hand its reply to the newer one; instead the
+        allocator probes forward (counting collisions) and reports
+        exhaustion when every ID is busy. With no ID in flight hit,
+        the sequence is the plain 1..0xFFFF counter.
+        """
+        if len(self._pending) >= _TXID_SPACE:
+            self.stats.txid_exhausted += 1
+            return None
+        msg_id = self._next_id
+        while msg_id in self._pending:
+            self.stats.txid_collisions += 1
+            msg_id = msg_id % _TXID_SPACE + 1
+        self._next_id = msg_id % _TXID_SPACE + 1
+        return msg_id
+
     def _send_upstream(self, pending: _Pending) -> None:
         network = self._require_network()
-        msg_id = self._next_id
-        self._next_id = self._next_id % 0xFFFF + 1
-        self._pending[msg_id] = pending
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
+        msg_id = self._allocate_txid()
+        if msg_id is None:
+            self._finish_error(pending, Rcode.SERVFAIL)
+            return
+        self._pending[msg_id] = pending
         pending.timeout_event = network.schedule(
-            self.timeout, lambda: self._on_timeout(msg_id)
+            self.timeout, lambda: self._on_timeout(msg_id, pending)
         )
         server_ip = pending.servers[pending.server_index]
-        upstream = make_query(
-            pending.qname, qtype=pending.qtype, msg_id=msg_id, recursion_desired=False
-        )
+        if self._fast_ok:
+            # Byte-identical to build_query_wire; the question is built
+            # once per name, however many servers are asked.
+            if not pending.question:
+                pending.question = build_question_wire(
+                    pending.qname, pending.qtype
+                )
+            wire = query_with_question(
+                pending.question, msg_id, recursion_desired=False
+            )
+        else:
+            wire = encode_message(
+                make_query(
+                    pending.qname, qtype=pending.qtype, msg_id=msg_id,
+                    recursion_desired=False,
+                )
+            )
         self.stats.upstream_queries += 1
         network.send(
             Datagram(
-                self.ip, self.upstream_port, server_ip, self.server_port,
-                encode_message(upstream),
+                self.ip, self.upstream_port, server_ip, self.server_port, wire,
             )
         )
 
     def handle_upstream(self, datagram: Datagram, network: Transport) -> None:
+        payload = datagram.payload
+        if self._fast_ok and len(payload) >= 12:
+            msg_id = payload[0] << 8 | payload[1]
+            pending = self._pending.get(msg_id)
+            if pending is not None:
+                fields = peek_upstream_reply(payload, pending.question)
+                if fields is not None:
+                    del self._pending[msg_id]
+                    if pending.timeout_event is not None:
+                        pending.timeout_event.cancel()
+                    self._advance(pending, datagram.src_ip, *fields)
+                    return
         try:
-            response = decode_message(datagram.payload)
+            response = decode_message(payload)
         except DnsWireError:
             return
         pending = self._pending.pop(response.header.msg_id, None)
@@ -320,32 +431,58 @@ class RecursiveResolver:
             return  # late or unsolicited
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
-        self._advance(pending, datagram.src_ip, response)
-
-    def _advance(self, pending: _Pending, server_ip: str, response: DnsMessage) -> None:
-        """Interpret one upstream response: answer, referral, or error."""
         if self.accept_unsolicited_additionals and response.answers:
             # VULNERABLE PATH: cache additional-section A records with no
-            # bailiwick check (the record-injection vector).
-            network = self._require_network()
+            # bailiwick check (the record-injection vector). No reply the
+            # fast path reads has both answers and additionals.
             for record in response.additionals:
                 if record.rtype == QueryType.A:
                     self.cache.put(record.name, QueryType.A, [record], network.now)
-        if response.rcode != Rcode.NOERROR:
-            self._trace(pending, server_ip, Rcode(response.rcode).name.lower())
-            self._finish_error(pending, response.rcode)
+        self._advance(
+            pending, datagram.src_ip, response.rcode, response.answers,
+            [
+                record.data.nsdname
+                for record in response.authorities
+                if record.rtype == QueryType.NS
+            ],
+            [
+                (record.name, record.data.address)
+                for record in response.additionals
+                if record.rtype == QueryType.A
+            ],
+        )
+
+    def _advance(
+        self,
+        pending: _Pending,
+        server_ip: str,
+        rcode: int,
+        answers: list,
+        ns_names: list[str],
+        glue: list[tuple[str, str]],
+    ) -> None:
+        """Interpret one upstream response: answer, referral, or error.
+
+        ``ns_names`` are the authority section's NS targets and ``glue``
+        the additional section's A records as (owner, address), both in
+        wire order.
+        """
+        if rcode != Rcode.NOERROR:
+            if pending.trace is not None:
+                self._trace(pending, server_ip, Rcode(rcode).name.lower())
+            self._finish_error(pending, rcode)
             return
-        if response.answers:
+        if answers:
             addresses = [
-                record for record in response.answers if record.rtype == pending.qtype
+                record for record in answers if record.rtype == pending.qtype
             ]
             if addresses or pending.qtype == QueryType.ANY:
                 self._trace(pending, server_ip, "answer")
-                self._finish_answer(pending, response.answers)
+                self._finish_answer(pending, answers)
                 return
             cnames = [
                 record
-                for record in response.answers
+                for record in answers
                 if record.rtype == QueryType.CNAME
             ]
             if cnames:
@@ -353,17 +490,13 @@ class RecursiveResolver:
                 self._restart(pending, cnames[0].data.cname)
                 return
             self._trace(pending, server_ip, "answer")
-            self._finish_answer(pending, response.answers)
+            self._finish_answer(pending, answers)
             return
-        glue = {
-            record.name: record.data.address
-            for record in response.additionals
-            if record.rtype == QueryType.A
-        }
+        addresses_by_name = dict(glue)
         referral_ips = [
-            glue[record.data.nsdname]
-            for record in response.authorities
-            if record.rtype == QueryType.NS and record.data.nsdname in glue
+            addresses_by_name[name]
+            for name in ns_names
+            if name in addresses_by_name
         ]
         if referral_ips:
             self._trace(pending, server_ip, "referral")
@@ -375,11 +508,6 @@ class RecursiveResolver:
             pending.server_index = 0
             self._send_upstream(pending)
             return
-        ns_names = [
-            record.data.nsdname
-            for record in response.authorities
-            if record.rtype == QueryType.NS
-        ]
         if ns_names and self.max_glueless > 0:
             self._chase_glueless(pending, server_ip, ns_names)
             return
@@ -426,15 +554,18 @@ class RecursiveResolver:
             self._finish_error(pending, Rcode.SERVFAIL)
             return
         pending.qname = new_qname
+        pending.question = b""
         pending.depth = 0
         pending.servers = list(self.root_servers)
         pending.server_index = 0
         self._send_upstream(pending)
 
-    def _on_timeout(self, msg_id: int) -> None:
-        pending = self._pending.pop(msg_id, None)
-        if pending is None:
+    def _on_timeout(self, msg_id: int, pending: _Pending) -> None:
+        # Bound to the resolution that sent the query: a timer that
+        # outlived its query cannot fail whatever holds the ID now.
+        if self._pending.get(msg_id) is not pending:
             return
+        del self._pending[msg_id]
         pending.server_index += 1
         if pending.server_index < len(pending.servers):
             self._send_upstream(pending)
@@ -453,9 +584,7 @@ class RecursiveResolver:
         self.stats.answered += 1
         if pending.trace is not None:
             pending.trace.outcome = "answered"
-        self._reply(
-            pending.client, make_response(pending.query, answers=answers, ra=True)
-        )
+        self._reply(pending.client, pending.query, answers=answers)
 
     def _finish_error(self, pending: _Pending, rcode: int) -> None:
         if self.negative_ttl > 0.0 and rcode in (Rcode.NXDOMAIN, Rcode.SERVFAIL):
@@ -469,7 +598,7 @@ class RecursiveResolver:
             self.stats.nxdomain += 1
         else:
             self.stats.servfail += 1
-        self._reply(pending.client, make_response(pending.query, rcode=rcode, ra=True))
+        self._reply(pending.client, pending.query, rcode)
 
     def _finish_glueless(self, child: _Pending, answers) -> None:
         """Fold a glueless-NS sub-resolution back into its parent.
@@ -509,8 +638,25 @@ class RecursiveResolver:
             network.now + self.negative_ttl, rcode,
         )
 
-    def _reply(self, client: Datagram, response: DnsMessage) -> None:
+    def _reply(
+        self,
+        client: Datagram,
+        query: DnsMessage | FastQuery,
+        rcode: int = Rcode.NOERROR,
+        answers: list | None = None,
+    ) -> None:
+        """Answer ``client`` with RA=1: ``rcode`` and ``answers``."""
         network = self._require_network()
+        answers = answers or []
+        if isinstance(query, FastQuery):
+            # Only built with no policy engine, so there is no rewrite.
+            if self.rate_limiter is not None and not self.rate_limiter.allow(
+                client.src_ip, network.now
+            ):
+                return  # RRL: response suppressed
+            network.send(client.reply(self._render(query, rcode, answers)))
+            return
+        response = make_response(query, rcode=rcode, answers=answers, ra=True)
         if self.policy is not None:
             response = self.policy.rewrite_response(response)
         if self.rate_limiter is not None and not self.rate_limiter.allow(
@@ -518,6 +664,44 @@ class RecursiveResolver:
         ):
             return  # RRL: response suppressed
         network.send(client.reply(encode_message(response)))
+
+    def _render(self, query: FastQuery, rcode: int, answers: list) -> bytes:
+        """The reply wire for a strictly parsed query, via a template.
+
+        An answer owned by the qname compresses to the constant offset
+        12, so the key drops that owner and one template serves every
+        qname with the same answer content; every other name the
+        answers write guards the template, and then the qname length
+        joins the key.
+        """
+
+        def slow() -> bytes:
+            return encode_message(
+                make_response(
+                    query.to_message(), rcode=rcode, answers=answers, ra=True
+                )
+            )
+
+        shape = []
+        guards = []
+        for record in answers:
+            fields = _RDATA_NAMES.get(type(record.data))
+            if fields is None:
+                return slow()
+            owner = record.name
+            if owner == query.qname:
+                owner = None
+            else:
+                guards.append(owner)
+            guards.extend(getattr(record.data, field) for field in fields)
+            shape.append(
+                (owner, record.rtype, record.rclass, record.ttl, record.data)
+            )
+        key = (
+            rcode, query.qtype, query.qclass, query.flags_word & 0x0100,
+            tuple(shape), len(query.qname) if guards else 0,
+        )
+        return self._templates.render(key, query, slow, tuple(guards))
 
     def _trace(self, pending: _Pending, server_ip: str, disposition: str) -> None:
         if pending.trace is not None:

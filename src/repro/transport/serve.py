@@ -263,6 +263,8 @@ class ServingWorld:
             ("load_shed", "defense.load_shed"),
             ("glueless_launched", "defense.glueless_launched"),
             ("glueless_capped", "defense.glueless_capped"),
+            ("txid_collisions", "txid_collisions"),
+            ("txid_exhausted", "txid_exhausted"),
         ):
             registry.counter(f"{prefix}.{target}").inc(
                 getattr(stats, source)

@@ -6,9 +6,13 @@ end-to-end campaign tests and the golden-table pins so the suite never
 runs the same (seed, scale, year) world twice.
 """
 
+import collections
+import sys
+
 import pytest
 
 from repro.core import Campaign, CampaignConfig
+from repro.dnslib import wire
 
 #: Scale of the single-year end-to-end world.
 E2E_SCALE = 16384
@@ -47,3 +51,32 @@ def both_years():
         result_2018.malicious_categories,
     )
     return result_2013, result_2018, comparison
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Counts of ``encode_message``/``decode_message`` calls in a test.
+
+    ``from ... import`` copies the functions into each importing module,
+    so every loaded binding is replaced, not just the codec module's.
+    """
+    counts = collections.Counter()
+
+    def patch(name):
+        original = getattr(wire, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            namespace = getattr(module, "__dict__", None)
+            if not namespace:
+                continue
+            for key, value in list(namespace.items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+
+    patch("encode_message")
+    patch("decode_message")
+    return counts

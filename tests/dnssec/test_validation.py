@@ -13,14 +13,12 @@ counts its codec calls exactly, so "doing more work" fails on any host.
 
 import collections
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Campaign, CampaignConfig
-from repro.dnslib import wire
 from repro.dnslib.constants import QueryType, Rcode
 from repro.dnslib.message import make_query, make_response
 from repro.dnslib.records import AData, ResourceRecord
@@ -431,44 +429,16 @@ class TestReplyClassMemo:
         classes = {_reference_class(payload) for payload in _R2_SHAPES}
         assert classes == {REPLY_IGNORED, REPLY_CONTROL, REPLY_BOGUS}
 
-    def test_repeat_shapes_skip_the_decoder(self, monkeypatch):
+    def test_repeat_shapes_skip_the_decoder(self, codec_calls):
         scanner = ValidationScanner(
             Network(seed=0), SigningAuthoritativeServer("45.76.1.10"), sld=SLD
         )
-        counts = _count_codec_calls(monkeypatch)
+        counts = codec_calls
         payload = bytearray(_signed_reply(CONTROL))
         for msg_id in range(50):
             payload[0:2] = msg_id.to_bytes(2, "big")
             assert scanner.classify_reply(bytes(payload)) == REPLY_CONTROL
         assert counts["decode_message"] == 1
-
-
-def _count_codec_calls(monkeypatch):
-    """Count ``encode_message``/``decode_message`` calls everywhere.
-
-    ``from ... import`` copies the functions into each importing module,
-    so every loaded binding is replaced, not just the codec module's.
-    """
-    counts = collections.Counter()
-
-    def patch(name):
-        original = getattr(wire, name)
-
-        def counting(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            namespace = getattr(module, "__dict__", None)
-            if not namespace:
-                continue
-            for key, value in list(namespace.items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counting)
-
-    patch("encode_message")
-    patch("decode_message")
-    return counts
 
 
 #: The work-counter census: a 2018 population at 1/16384, seed 7.
@@ -490,8 +460,10 @@ class TestCensusWorkCounters:
     query shape. Decoding every packet cost 18.0 per target.
     """
 
-    def test_codec_calls_are_pinned(self, monkeypatch, counter_population):
-        counts = _count_codec_calls(monkeypatch)
+    def test_codec_calls_are_pinned(
+        self, monkeypatch, counter_population, codec_calls
+    ):
+        counts = codec_calls
         ghosts = collections.Counter()
         handle_upstream = BehaviorHost.handle_upstream
 
