@@ -11,11 +11,23 @@ the engine would sustain given eight real cores. The serial baseline
 is CPU-time-based for the same reason (on an otherwise-idle host the
 two clocks agree).
 
-The speedup comes from the shared-nothing design, not magic: each
-worker's busy time covers only its slice's scan (world build, event
-loop, analysis) because the O(universe) setup the serial run pays —
-the full permutation walk — is forked in from the parent's primed
-cache, and results leave as compact frames instead of fat pickles.
+The speedup comes from the shared-nothing design, not magic. The
+O(universe) setup the serial run pays — the permutation walk and the
+sampled world — is paid once in the parent and forked in from its
+primed caches. Each worker then picks its hosts by integer address:
+one dotted-quad conversion per host, never one per address of its
+slice, so a worker's own setup is O(hosts) and its busy time is its
+slice's scan (deploy, event loop, join). Results leave as compact
+frames instead of fat pickles.
+
+The aggregate is a capacity figure, not an end-to-end one, so the
+record also carries two whole-run figures next to it:
+``wall_probes_per_sec`` (probes over wall time) for both engines, and
+the multicore run's ``parent_serial_s`` — wall time minus the slowest
+worker's busy time, i.e. the parent's priming, merge, finalize and
+analysis that no worker count shortens. On a host with fewer cores
+than workers the workers time-slice, so ``parent_serial_s`` then also
+holds their waits for a core. ``host`` stamps where it ran.
 
 Publishes the canonical repo-root ``BENCH_multicore.json`` with a
 ``baseline`` section (committed reference, rewritten by hand) and a
@@ -23,7 +35,7 @@ Publishes the canonical repo-root ``BENCH_multicore.json`` with a
 current aggregate rate falls more than ``REGRESSION_TOLERANCE`` below
 the committed baseline and skips cleanly when no baseline exists.
 
-Run directly (``PYTHONPATH=src python benchmarks/bench_multicore.py``)
+Run directly (``PYTHONPATH=src:. python benchmarks/bench_multicore.py``)
 or through pytest (``pytest benchmarks/bench_multicore.py``).
 """
 
@@ -71,6 +83,7 @@ def measure_serial() -> dict:
         "cpu_s": round(cpu, 4),
         "wall_s": round(wall, 4),
         "probes_per_cpu_sec": round(q1 / cpu, 1),
+        "wall_probes_per_sec": round(q1 / wall, 1),
     }
 
 
@@ -90,13 +103,16 @@ def measure_multicore() -> dict:
     aggregate = sum(
         q1[index] / busy[index] for index in q1 if busy.get(index)
     )
+    q1_total = sum(q1.values())
     return {
         "workers": WORKERS,
         "transport": stats["transport"],
         "event_batch": stats["event_batch"],
-        "q1_total": sum(q1.values()),
+        "q1_total": q1_total,
         "worker_busy_s": {str(k): v for k, v in sorted(busy.items())},
         "wall_s": round(wall, 4),
+        "wall_probes_per_sec": round(q1_total / wall, 1),
+        "parent_serial_s": round(wall - max(busy.values(), default=0.0), 4),
         "bytes_shipped": stats["bytes_shipped"],
         "frames": stats["frames"],
         "aggregate_probes_per_sec": round(aggregate, 1),
@@ -105,7 +121,11 @@ def measure_multicore() -> dict:
 
 def run_benchmark() -> dict:
     """Measure both engines, compute the speedup, publish the record."""
-    from benchmarks.conftest import load_bench_record, publish_bench_record
+    from benchmarks.conftest import (
+        host_note,
+        load_bench_record,
+        publish_bench_record,
+    )
 
     serial = measure_serial()
     multicore = measure_multicore()
@@ -113,6 +133,7 @@ def run_benchmark() -> dict:
         "serial": serial,
         "multicore": multicore,
         "host_cores": os.cpu_count() or 1,
+        "host": host_note(),
         "aggregate_speedup": round(
             multicore["aggregate_probes_per_sec"]
             / serial["probes_per_cpu_sec"],

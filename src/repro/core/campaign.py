@@ -399,9 +399,12 @@ class Campaign:
         hosts must live inside this campaign's universe (e.g. produced
         by evolving a population sampled with the same seed/scale).
 
-        ``workers`` overrides the config's worker count for this run;
-        any value above 1 dispatches to the sharded engine
-        (:func:`repro.core.shard.run_sharded`), which produces
+        ``workers`` overrides the config's worker count for this run.
+        A count above 1, a checkpoint or resume directory, or
+        ``config.engine == "multicore"`` leaves the serial engine: the
+        multicore engine (:func:`repro.core.multicore.run_multicore`)
+        runs when ``config.engine`` asks for it, the pool engine
+        (:func:`repro.core.shard.run_sharded`) otherwise. Both produce
         byte-identical tables at ``loss_rate == 0``.
 
         ``checkpoint_dir`` persists each completed shard to disk as it
@@ -566,6 +569,7 @@ class Campaign:
                 source_port=probe_config.source_port,
                 response_window=probe_config.response_window,
                 upstream_ips=frozenset(self.profile.forwarder_upstreams),
+                retain_flows=not config.drop_captures,
             )
             pipeline.attach(network)
         hint = population.address_set() if config.fast else None
@@ -616,11 +620,10 @@ class Campaign:
                 aggregate = pipeline.finish()
                 if hub is not None:
                     hub.finalize_stream(pipeline.stats)
+                flow_set = pipeline.flows(hierarchy.auth)
                 if config.drop_captures:
-                    flow_set = FlowSet(flows={}, unjoinable=[])
                     query_log: list = []
                 else:
-                    flow_set = join_flows(capture.r2_records, hierarchy.auth)
                     query_log = (
                         list(hierarchy.auth.query_log)
                         if config.retain_query_log else []

@@ -418,13 +418,12 @@ def run_multicore(
             stacklevel=2,
         )
         use_processes = False
-    if population_override is None and (
-        not use_processes or _fork_available()
-    ):
-        # Prime the config-pure shared state (universe walk + sampled
-        # world): fork children inherit it, and inline shards reuse it,
+    if not use_processes or _fork_available():
+        # Prime the config-pure shared state (universe walk, plus the
+        # sampled world unless an override replaces it): fork children
+        # inherit it, inline shards and finalize_outcomes reuse it,
         # instead of each paying the O(universe) setup again.
-        prime_shard_caches(config)
+        prime_shard_caches(config, population_override)
 
     resumed = len(completed)
     pending = [index for index in range(workers) if index not in completed]

@@ -68,7 +68,7 @@ from repro.dnssrv.hierarchy import (
     build_hierarchy,
 )
 from repro.netsim.faults import build_injector, fault_profile
-from repro.netsim.ipv4 import int_to_ip
+from repro.netsim.ipv4 import ip_to_int
 from repro.netsim.latency import LogNormalLatency
 from repro.netsim.loss import BernoulliLoss
 from repro.netsim.network import Network
@@ -82,10 +82,11 @@ from repro.prober.probe import (
     merge_captures,
 )
 from repro.prober.subdomain import SubdomainScheme
-from repro.prober.zmap import probe_order
+from repro.prober.zmap import probe_list
 from repro.resolvers.apportion import scale_count
 from repro.resolvers.population import (
     PopulationSampler,
+    ResolverAssignment,
     SampledPopulation,
     assign_transparent_forwarders,
     deploy_forwarder_upstreams,
@@ -196,6 +197,26 @@ def shard_universe(universe: list[int], index: int, workers: int) -> list[int]:
     return universe[index::workers]
 
 
+def shard_assignments(
+    assignments: list[ResolverAssignment], addresses: list[int]
+) -> list[ResolverAssignment]:
+    """The hosts probed by a shard whose slice is ``addresses``.
+
+    Keeps population order, so a shard deploys its hosts exactly as a
+    filter over the full population would. The cost is one dotted-quad
+    conversion per *host* plus one C-level membership pass over the
+    slice; the slice itself is never rendered to strings, so a worker's
+    setup scales with its hosts, not with the universe.
+    """
+    host_ints = [ip_to_int(assignment.ip) for assignment in assignments]
+    in_slice = set(host_ints).intersection(addresses)
+    return [
+        assignment
+        for assignment, address in zip(assignments, host_ints)
+        if address in in_slice
+    ]
+
+
 def cluster_namespace_slice(index: int, workers: int) -> tuple[int, int]:
     """Shard ``index``'s private ``[base, limit)`` cluster-number range.
 
@@ -248,7 +269,7 @@ def _campaign_universe(config) -> list[int]:
         return cached[1]
     profile = profile_for_year(config.year)
     q1_target = scale_count(profile.q1_full, config.scale)
-    universe = list(probe_order(seed=config.seed, limit=q1_target))
+    universe = probe_list(seed=config.seed, limit=q1_target)
     _universe_cache = (key, universe)
     return universe
 
@@ -309,15 +330,21 @@ def _campaign_world(config, universe) -> tuple:
     return world
 
 
-def prime_shard_caches(config) -> None:
+def prime_shard_caches(
+    config, population_override: SampledPopulation | None = None
+) -> None:
     """Materialize the config-pure shared state (universe + world).
 
     The multicore engine calls this in the parent before forking so
     children inherit both O(universe) artifacts — the permutation walk
     and the sampled population — instead of recomputing them per
-    worker.
+    worker. The universe is config-pure even when an evolved world
+    overrides the population, so it is primed in every case; only the
+    world memo is skipped then (the override replaces it).
     """
-    _campaign_world(config, _campaign_universe(config))
+    universe = _campaign_universe(config)
+    if population_override is None:
+        _campaign_world(config, universe)
 
 
 def _build_world(config, network: Network, universe, population_override=None):
@@ -469,14 +496,9 @@ def _run_shard_scan(
     cluster_base, cluster_limit = cluster_namespace_slice(
         task.index, task.workers
     )
-    slice_ips = {int_to_ip(address) for address in addresses}
     local = dataclasses.replace(
         population,
-        assignments=[
-            assignment
-            for assignment in population.assignments
-            if assignment.ip in slice_ips
-        ],
+        assignments=shard_assignments(population.assignments, addresses),
     )
     local.deploy(
         network, auth_ip=hierarchy.auth.ip, version_banners=banners,
@@ -512,6 +534,7 @@ def _run_shard_scan(
             source_port=probe_config.source_port,
             response_window=probe_config.response_window,
             upstream_ips=frozenset(profile.forwarder_upstreams),
+            retain_flows=not config.drop_captures,
         )
         pipeline.attach(network)
     hint = local.address_set() if config.fast else None
@@ -567,11 +590,12 @@ def _run_shard_scan(
         stream_stats = pipeline.stats
         if hub is not None:
             hub.finalize_stream(stream_stats)
-    if config.mode == "stream" and config.drop_captures:
-        flow_set = FlowSet(flows={}, unjoinable=[])
-        query_log: list[QueryLogEntry] = []
+        flow_set = pipeline.flows(hierarchy.auth)
     else:
         flow_set = join_flows(capture.r2_records, hierarchy.auth)
+    if config.mode == "stream" and config.drop_captures:
+        query_log: list[QueryLogEntry] = []
+    else:
         # The shard's world dies with this function, so the log needs no
         # defensive copy before shipping (unlike the serial path, whose
         # auth server keeps appending during follow-up scans). With

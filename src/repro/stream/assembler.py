@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.prober.capture import R2Record, R2View, parse_r2
+from repro.prober.capture import IncrementalJoin, R2Record, R2View, parse_r2
 from repro.stream.aggregate import TableAggregate
 
 
@@ -101,12 +101,16 @@ class FlowAssembler:
         response_window: float = 5.0,
         lateness: float | None = None,
         sweep_interval: float | None = None,
+        join: IncrementalJoin | None = None,
     ) -> None:
         """``lateness`` is the extra slack past the response window a
         flow stays live after its last activity (default: one more
         response window — generous against fault-injected latency).
         ``sweep_interval`` paces the eviction scans (default: half the
-        horizon, so a settled flow lives at most ~1.5 horizons)."""
+        horizon, so a settled flow lives at most ~1.5 horizons).
+        ``join``, when given, also receives every R2 view in delivery
+        order, so a run that retains its captures gets the batch flow
+        set without decoding any R2 a second time."""
         if response_window <= 0:
             raise ValueError("response_window must be positive")
         if lateness is None:
@@ -121,6 +125,7 @@ class FlowAssembler:
         if self._sweep_interval <= 0:
             raise ValueError("sweep_interval must be positive")
         self.stats = StreamStats()
+        self.join = join
         self._flows: dict[str, StreamFlow] = {}
         self._next_sweep = self._sweep_interval
 
@@ -176,6 +181,8 @@ class FlowAssembler:
         """A response reached the prober; parse and join it."""
         self.stats.r2_events += 1
         view = parse_r2(R2Record(now, src_ip, payload))
+        if self.join is not None:
+            self.join.add_view(view)
         if view.qname is None:
             self.aggregate.add_unjoinable(view)
         else:

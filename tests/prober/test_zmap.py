@@ -1,5 +1,6 @@
 """ZMap permutation tests."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from repro.prober.zmap import (
     GROUP_PRIME,
     find_generator,
     is_generator,
+    probe_list,
     probe_order,
 )
 
@@ -79,3 +81,17 @@ class TestProbeOrder:
         first = list(probe_order(seed=7, limit=500))
         second = list(probe_order(seed=7, limit=500))
         assert first == second
+
+
+class TestProbeList:
+    """``probe_list`` is the same walk as ``probe_order``, as one loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7, 2**31 + 5])
+    @pytest.mark.parametrize("limit", [-3, 0, 1, 2, 257, 20_000])
+    def test_equals_the_generator(self, seed, limit):
+        assert probe_list(seed, limit) == list(probe_order(seed, limit))
+
+    def test_non_positive_limit_is_empty(self):
+        assert probe_list(seed=7, limit=0) == []
+        assert probe_list(seed=7, limit=-1) == []
+
