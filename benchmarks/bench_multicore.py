@@ -91,9 +91,7 @@ def measure_multicore() -> dict:
     """The 8-worker engine's aggregate rate from per-worker CPU time."""
     import dataclasses
 
-    config = dataclasses.replace(
-        TIMED_CONFIG, workers=WORKERS, engine="multicore"
-    )
+    config = dataclasses.replace(TIMED_CONFIG, workers=WORKERS)
     wall_start = time.perf_counter()
     result = run_multicore(config, parallelism="process")
     wall = time.perf_counter() - wall_start

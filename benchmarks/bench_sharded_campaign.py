@@ -1,12 +1,12 @@
 """Sharded campaign engine: equivalence at scale plus honest timings.
 
-Times the serial engine against the sharded engine (in-process and
-process-pool) at a scale where a serial run takes several seconds, and
-verifies the byte-identical-report guarantee at that scale. The
-process-pool speedup is recorded as measured together with the host's
-core count: on a single-core host the pool cannot beat serial (the
-shards time-slice one CPU and pay IPC on top), and the point of the
-record is the honest number, not a flattering one.
+Times a serial campaign against the same campaign split into shards
+(in-process and in worker processes) at a scale where a serial run
+takes several seconds, and verifies the byte-identical-report guarantee
+at that scale. The worker-process speedup is recorded as measured
+together with the host's core count: on a single-core host the workers
+cannot beat serial (the shards time-slice one CPU and pay IPC on top),
+and the point of the record is the honest number, not a flattering one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import time
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.shard import run_sharded
+from repro.core.multicore import run_multicore
 
 from benchmarks.conftest import SEED, publish_bench_record, write_result
 
@@ -40,13 +40,13 @@ def test_sharded_campaign(benchmark, results_dir):
     serial, serial_s = _timed(lambda: Campaign(CONFIG).run())
     sharded_config = dataclasses.replace(CONFIG, workers=WORKERS)
     inline, inline_s = _timed(
-        lambda: run_sharded(sharded_config, parallelism="inline")
+        lambda: run_multicore(sharded_config, parallelism="inline")
     )
     pooled, pooled_s = _timed(
-        lambda: run_sharded(sharded_config, parallelism="auto")
+        lambda: run_multicore(sharded_config, parallelism="auto")
     )
     benchmark.pedantic(
-        run_sharded,
+        run_multicore,
         kwargs=dict(config=sharded_config, parallelism="auto"),
         rounds=1,
         iterations=1,
@@ -64,8 +64,8 @@ def test_sharded_campaign(benchmark, results_dir):
         f"host cores: {cores}",
         f"serial:        {serial_s:8.2f} s",
         f"inline shards: {inline_s:8.2f} s",
-        f"process pool:  {pooled_s:8.2f} s  (speedup vs serial: {speedup:.2f}x)",
-        "reports byte-identical across all three engines: yes",
+        f"processes:     {pooled_s:8.2f} s  (speedup vs serial: {speedup:.2f}x)",
+        "reports byte-identical across all three runs: yes",
     ]
     if cores < WORKERS:
         lines.append(

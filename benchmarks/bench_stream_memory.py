@@ -42,7 +42,7 @@ _DRIVER = """
 import hashlib, json, pathlib, resource, sys, tempfile, time
 mode, scale, trace = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "trace"
 from repro.core import CampaignConfig
-from repro.core.shard import run_sharded
+from repro.core.multicore import run_multicore
 config = CampaignConfig(
     year=2018, scale=scale, seed={seed}, time_compression=4.0, workers=1,
     mode="stream" if mode == "stream" else "batch",
@@ -53,8 +53,8 @@ if trace:
     tracemalloc.start()
 checkpoint_dir = pathlib.Path(tempfile.mkdtemp())
 start = time.perf_counter()
-result = run_sharded(config, parallelism="inline",
-                     checkpoint_dir=checkpoint_dir)
+result = run_multicore(config, parallelism="inline",
+                       checkpoint_dir=checkpoint_dir)
 wall = time.perf_counter() - start
 out = {{
     "wall_s": wall,

@@ -41,13 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--workers", type=int, default=1,
                       help="shard the scan across N parallel simulations "
                       "(identical tables at any worker count)")
-    scan.add_argument("--engine", default="pool",
-                      choices=("pool", "multicore"),
-                      help="execution engine: 'pool' ships pickled "
-                      "outcomes through a process pool; 'multicore' runs "
-                      "shared-nothing per-core workers with compact "
-                      "binary result rings and batched dispatch (tables "
-                      "byte-identical either way)")
     scan.add_argument("--fault-profile", default="none",
                       choices=("none", "bursty", "hostile"),
                       help="inject network faults: bursty (Gilbert-Elliott "
@@ -293,7 +286,6 @@ def _cmd_scan(args) -> int:
         seed=args.seed,
         time_compression=_default_compression(args.year, args.compression),
         workers=args.workers,
-        engine=args.engine,
         fault_profile=args.fault_profile,
         max_shard_retries=args.max_shard_retries,
         mode="stream" if args.stream else "batch",
@@ -302,9 +294,6 @@ def _cmd_scan(args) -> int:
         attack_policy=args.attack_policy,
     )
     workers_note = f", workers {args.workers}" if args.workers > 1 else ""
-    engine_note = (
-        f", engine '{args.engine}'" if args.engine != "pool" else ""
-    )
     faults_note = (
         f", faults '{args.fault_profile}'"
         if args.fault_profile != "none" else ""
@@ -319,7 +308,7 @@ def _cmd_scan(args) -> int:
     telemetry_note = ", telemetry" if telemetry is not None else ""
     print(
         f"Scanning (year {args.year}, scale 1/{args.scale}, "
-        f"seed {args.seed}{workers_note}{engine_note}{faults_note}"
+        f"seed {args.seed}{workers_note}{faults_note}"
         f"{stream_note}{resume_note}{telemetry_note})..."
     )
     try:

@@ -13,8 +13,8 @@ from repro.core.shard import (
     ShardOutcome,
     ShardTask,
     checkpoint_fingerprint,
+    run_in_process,
     run_shard,
-    run_sharded,
     shard_universe,
 )
 from repro.core.sweep import MetricStats, SweepResult, run_seed_sweep
@@ -33,7 +33,7 @@ __all__ = [
     "checkpoint_fingerprint",
     "run_both_years",
     "run_seed_sweep",
+    "run_in_process",
     "run_shard",
-    "run_sharded",
     "shard_universe",
 ]

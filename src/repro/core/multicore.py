@@ -1,22 +1,19 @@
-"""Shared-nothing per-core campaign engine with pipelined result rings.
+"""The campaign engine for sharded runs: shared-nothing workers over result rings.
 
-The pool engine (:func:`repro.core.shard.run_sharded`) ships fat
-pickled :class:`~repro.core.shard.ShardOutcome` objects through a
-``ProcessPoolExecutor`` and merges them when the round ends. This
-module replaces that loop with the ZDNS/ZMap scale-out shape the
-ROADMAP names:
+Every campaign with more than one worker, a checkpoint directory or a
+resume runs here; a serial campaign is the same shard scan run in
+process (:func:`repro.core.shard.run_in_process`). The shape is the
+ZDNS/ZMap scale-out one:
 
 - **Work distribution without task objects.** The parent sends each
   worker only scalars: the config's field tuple plus
   ``(worker_id, nworkers, attempt)``. The worker derives everything
-  else locally — its splitmix64 seed lane via
-  ``derive_seed(campaign_seed, worker_id, nworkers)`` and its strided
-  probe slice ``universe[worker_id::nworkers]`` — exactly as
-  :func:`~repro.core.shard.run_shard` always has, so the per-shard
-  simulation is byte-identical to the pool engine's. Under the fork
-  start method the parent primes the shared universe memo first, so
-  children inherit the materialized permutation walk instead of each
-  recomputing it.
+  else locally — its seed lane via
+  :func:`~repro.core.shard.shard_seed` and its strided probe slice
+  ``universe[worker_id::nworkers]`` — in
+  :func:`~repro.core.shard.run_shard`. Under the fork start method the
+  parent primes the shared universe and world memos first, so children
+  inherit them instead of each recomputing them.
 - **Compact result rings, drained incrementally.** Each worker owns a
   single-producer ring (:mod:`repro.core.ringbuf`: shared memory,
   pipe fallback, or in-process for inline execution) and ships its
@@ -32,22 +29,22 @@ ROADMAP names:
   counters are coalesced into per-batch flushes instead of per-probe
   increments.
 
-Fault handling mirrors the pool engine: a worker that raises ships an
-error frame; a worker that dies without a frame (chaos kill, crash) is
-detected by exit code; both are requeued with the same derived seed up
-to ``config.max_shard_retries``, then recorded in the degraded
-manifest. Checkpoints use the same fingerprint (``engine`` excluded),
-so campaigns checkpoint/resume interchangeably across engines. The
-merge itself is :func:`repro.core.shard.finalize_outcomes` — one
-finalization path for both engines, so the byte-identity contract for
-Tables II–X is structural, not aspirational.
+Fault handling: a worker that raises ships an error frame; a worker
+that dies without a frame (chaos kill, crash) is detected by exit code;
+both are requeued with the same seed up to
+``config.max_shard_retries``, then recorded in the degraded manifest.
+When worker processes cannot start at all (no semaphores, no shared
+memory), ``parallelism="auto"`` cleans up and runs the round inline
+with a RuntimeWarning. The merge itself is
+:func:`repro.core.shard.finalize_outcomes`, the one finalization path
+every campaign takes, so the byte-identity contract for Tables II–X is
+structural, not aspirational.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import pickle
 import struct
 import time
@@ -69,14 +66,13 @@ from repro.core.shard import (
     ShardExecutionError,
     ShardOutcome,
     ShardTask,
-    _supports_process_pool,
     checkpoint_fingerprint,
     cluster_namespace_slice,
     finalize_outcomes,
     prime_shard_caches,
     run_shard,
+    shard_seed,
 )
-from repro.netsim.seeds import derive_seed
 from repro.resolvers.population import SampledPopulation
 from repro.telemetry.hub import as_hub, maybe_span
 
@@ -252,7 +248,7 @@ def _drain_workers(
                 if index not in outcomes and index not in errors:
                     errors[index] = ShardExecutionError(
                         index, config.workers,
-                        derive_seed(config.seed, index, config.workers),
+                        shard_seed(config.seed, index, config.workers),
                         "worker exited with code "
                         f"{proc.exitcode} before shipping a result",
                     )
@@ -285,6 +281,9 @@ def _run_round_processes(
             stats["transport"] = _TRANSPORT_NAMES.get(
                 type(ring), type(ring).__name__
             )
+            states[index] = _WorkerState(
+                ring=ring, parser=FrameParser(), proc=None
+            )
             proc = multiprocessing.Process(
                 target=_worker_main,
                 args=(
@@ -293,15 +292,30 @@ def _run_round_processes(
                 ),
             )
             proc.start()
+            states[index].proc = proc
             if isinstance(ring, PipeRing):
                 ring.close_writer()  # the child holds the only write end now
-            states[index] = _WorkerState(
-                ring=ring, parser=FrameParser(), proc=proc
-            )
+    except BaseException:
+        _abandon_round(states)
+        raise
     finally:
         _fork_override = None
     _drain_workers(states, outcomes, errors, stats, config)
     return outcomes, errors
+
+
+def _abandon_round(states: dict[int, _WorkerState]) -> None:
+    """Undo a round whose workers could not all start.
+
+    Stops and reaps the workers already running and closes (for shared
+    memory: unlinks) every ring made so far, so the inline re-run that
+    follows leaves no process or segment behind.
+    """
+    for state in states.values():
+        if state.proc is not None:
+            state.proc.terminate()
+            state.proc.join()
+        state.ring.close()
 
 
 def _run_round_inline(
@@ -338,10 +352,17 @@ def _run_round_inline(
         if index not in outcomes and index not in errors:
             errors[index] = ShardExecutionError(
                 index, config.workers,
-                derive_seed(config.seed, index, config.workers),
+                shard_seed(config.seed, index, config.workers),
                 "worker produced no result frame",
             )
     return outcomes, errors
+
+
+def _supports_processes() -> bool:
+    try:
+        return bool(multiprocessing.get_all_start_methods())
+    except Exception:  # pragma: no cover - exotic platforms
+        return False
 
 
 def _fork_available() -> bool:
@@ -361,20 +382,42 @@ def run_multicore(
     ring: str = "auto",
     event_batch: int = DEFAULT_EVENT_BATCH,
 ) -> "CampaignResult":  # noqa: F821
-    """Run a campaign on the shared-nothing multicore engine.
+    """Run a campaign as ``config.workers`` shards and merge the results.
 
-    Same contract as :func:`repro.core.shard.run_sharded` — same
-    retry/degraded semantics, same checkpoint fingerprint, same merged
-    tables byte for byte — different execution substrate: one process
-    per shard, scalar-only work distribution, compact binary result
-    frames over per-worker rings with continuous parent-side drain.
+    One process per shard, scalar-only work distribution, compact
+    binary result frames over per-worker rings with continuous
+    parent-side drain. The merged :class:`CampaignResult` carries a
+    live parent world — population deployed on a (never-scanned) parent
+    network — so follow-up scans (fingerprinting, DNSSEC census) work
+    exactly as they do on a serial result.
+
+    Failure domains: a shard whose worker raises or dies is requeued
+    with the same seed up to ``config.max_shard_retries`` times (the
+    re-run is byte-identical, so recovery cannot skew the tables). With
+    ``checkpoint_dir`` every completed shard is persisted as it
+    finishes and ``resume=True`` re-executes only the shards missing
+    from that directory. Shards that exhaust their retries are recorded
+    in the result's ``degraded`` manifest instead of raising; only a
+    campaign with *zero* surviving shards raises
+    :class:`ShardExecutionError`.
 
     ``parallelism``: ``"process"`` forces child processes, ``"inline"``
     forces in-process execution (still through the ring/codec path),
-    ``"auto"`` picks processes when the platform supports them.
-    ``ring`` picks the transport (``"auto"``/``"shm"``/``"pipe"``).
-    The result's ``engine_stats`` records transport, rounds, frames,
-    bytes shipped, and per-worker CPU-busy seconds and probe counts.
+    ``"auto"`` picks processes when there is more than one shard and
+    the platform supports them, and runs a round inline — with a
+    RuntimeWarning and a ``campaign.pool_fallbacks`` count — when its
+    processes or rings cannot be created. ``ring`` picks the transport
+    (``"auto"``/``"shm"``/``"pipe"``). The result's ``engine_stats``
+    records transport, rounds, frames, bytes shipped, and per-worker
+    CPU-busy seconds and probe counts.
+
+    ``telemetry`` (a :class:`~repro.telemetry.hub.TelemetryConfig` or
+    :class:`~repro.telemetry.hub.TelemetryHub`) instruments every
+    worker: each runs its own hub and ships a mergeable snapshot back
+    on its outcome; the parent folds them (counters add, shard spans
+    nest under the parent trace, heartbeats are shard-tagged) and the
+    merged snapshot lands on ``result.telemetry``. A failing worker
+    with a configured ``flight_dump_dir`` dumps its flight recorder.
     """
     if parallelism not in ("auto", "process", "inline"):
         raise ValueError(f"unknown parallelism mode: {parallelism!r}")
@@ -403,7 +446,7 @@ def run_multicore(
         from repro.datasets.store import save_shard_checkpoint
 
     use_processes = parallelism == "process" or (
-        parallelism == "auto" and _supports_process_pool()
+        parallelism == "auto" and workers > 1 and _supports_processes()
     )
     if use_processes and population_override is not None and not _fork_available():
         if parallelism == "process":
@@ -445,17 +488,31 @@ def run_multicore(
     }
     telemetry_config = hub.config if hub is not None else None
     with maybe_span(
-        hub, "multicore_execution", workers=workers,
+        hub, "shard_execution", workers=workers,
         resumed=resumed, pending=len(pending),
     ):
         while pending:
             stats["rounds"] += 1
             if use_processes:
-                outcomes, errors = _run_round_processes(
-                    config, pending, attempts, population_override,
-                    telemetry_config, ring, event_batch, stats,
-                )
-            else:
+                try:
+                    outcomes, errors = _run_round_processes(
+                        config, pending, attempts, population_override,
+                        telemetry_config, ring, event_batch, stats,
+                    )
+                except OSError as exc:
+                    if parallelism == "process":
+                        raise
+                    if hub is not None:
+                        hub.registry.counter("campaign.pool_fallbacks").inc()
+                    warnings.warn(
+                        f"worker processes unavailable ({type(exc).__name__}: "
+                        f"{exc}); shard round running inline in one process "
+                        "(results are identical, wall clock is not)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    use_processes = False
+            if not use_processes:
                 outcomes, errors = _run_round_inline(
                     config, pending, attempts, population_override,
                     telemetry_config, event_batch, stats,
@@ -492,4 +549,6 @@ def run_multicore(
         index: completed[index].capture.q1_sent for index in sorted(completed)
     }
     result.engine_stats = stats
+    if hub is not None:
+        result.telemetry = hub.snapshot()
     return result

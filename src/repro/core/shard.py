@@ -1,4 +1,4 @@
-"""Sharded parallel campaign engine with crash-tolerant execution.
+"""The campaign engine's unit of work: one shard of the ZMap sweep.
 
 The paper's scan covers the routable IPv4 space from one box; ZMap's
 cyclic-group permutation is what makes that embarrassingly parallel:
@@ -6,10 +6,14 @@ any strided slice of the permutation is itself a uniform sample of the
 space. This module partitions the campaign universe into ``N``
 deterministic shards — shard ``i`` probes ``universe[i::N]`` at
 ``rate/N`` — runs each shard as an independent :class:`Prober` +
-:class:`Network` discrete-event simulation (in a
-``ProcessPoolExecutor`` worker when the platform allows, in-process
-otherwise), and merges the per-shard captures and flows into a single
-:class:`CampaignResult`.
+:class:`Network` discrete-event simulation, and merges the per-shard
+captures and flows into a single :class:`CampaignResult`.
+
+Every campaign runs through the one shard-scan function here. A serial
+run (:func:`run_in_process`) is shard 0 of 1 in the caller's process:
+its scanned world becomes the result's world. A sharded run hands
+shards to :func:`repro.core.multicore.run_multicore`, whose workers
+call :func:`run_shard`; :func:`finalize_outcomes` merges either.
 
 Determinism contract (see DESIGN.md §6): for a given
 ``(seed, scale, year)`` and ``loss_rate == 0`` the merged run renders
@@ -30,11 +34,13 @@ The guarantee holds because
   collision-free), and every analyzer sorts on content, never on
   arrival order.
 
-Per-shard randomness (latency draws, fault schedules) is seeded by the
-derivation rule ``derive_seed(seed, index, workers)`` — shards never
-replay each other's streams, and a *re-run* shard replays exactly its
-own. That second property is the failure-domain story: a shard worker
-that crashes or is killed is requeued up to
+Per-shard randomness (latency draws, fault schedules) is seeded by
+:func:`shard_seed`: ``derive_seed(seed, index, workers)`` when there is
+more than one shard, the campaign seed itself when there is one — so a
+serial run and a one-worker sharded run are the same simulation. Shards
+never replay each other's streams, and a *re-run* shard replays exactly
+its own. That second property is the failure-domain story: a shard
+worker that crashes or is killed is requeued up to
 ``config.max_shard_retries`` times, and because the re-run is
 byte-identical, recovery is invisible in the merged tables. Shards
 that exhaust their retries are reported in the result's ``degraded``
@@ -52,19 +58,16 @@ count, because their selection hashes the address, not the shard.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import multiprocessing
 import os
 import pathlib
-import pickle
-import warnings
 
 from repro.dnssrv.auth import QueryLogEntry
 from repro.dnssrv.hierarchy import (
     AUTH_IP,
     ROOT_IP,
     TLD_IP,
+    Hierarchy,
     build_hierarchy,
 )
 from repro.netsim.faults import build_injector, fault_profile
@@ -99,13 +102,12 @@ from repro.telemetry.hub import (
     TelemetryConfig,
     TelemetryHub,
     TelemetrySnapshot,
-    as_hub,
     maybe_span,
 )
 
 #: Chaos-testing hooks, read by every shard worker (the environment
 #: crosses the process boundary, so they work under both inline and
-#: pool execution). Format: ``"index:count,index:count"`` — shard
+#: process execution; a serial run never reads them). Format: ``"index:count,index:count"`` — shard
 #: ``index`` fails while its attempt number is below ``count``.
 #: ``REPRO_CHAOS_RAISE`` raises inside the worker (a crashing shard);
 #: ``REPRO_CHAOS_EXIT`` hard-kills the worker process with
@@ -240,14 +242,35 @@ def checkpoint_fingerprint(config) -> dict:
 
     ``max_shard_retries`` is deliberately excluded: retrying harder is
     a legitimate thing to change between a crash and its resume. So is
-    ``engine``: the pool and multicore engines produce byte-identical
-    shard outcomes, so a campaign checkpointed under one resumes under
-    the other.
+    ``engine``, a compatibility field that never shapes a byte.
     """
     fingerprint = dataclasses.asdict(config)
     fingerprint.pop("max_shard_retries", None)
     fingerprint.pop("engine", None)
     return fingerprint
+
+
+def shard_seed(seed: int, index: int, workers: int) -> int:
+    """The network seed of shard ``index`` of ``workers``.
+
+    One shard is the whole campaign, so it keeps the campaign seed: a
+    serial run and a one-worker sharded run draw the same latencies
+    and render the same bytes under every fault profile. Only a real
+    split derives per-shard lanes.
+    """
+    if workers == 1:
+        return seed
+    return derive_seed(seed, index, workers)
+
+
+def campaign_probe_count(config) -> int:
+    """How many addresses the campaign probes (the universe's length)."""
+    return scale_count(profile_for_year(config.year).q1_full, config.scale)
+
+
+def shard_probe_count(total: int, index: int, workers: int) -> int:
+    """``len(universe[index::workers])`` for a universe of ``total``."""
+    return max(0, (total - index + workers - 1) // workers)
 
 
 #: Single-slot memo for the campaign universe: (key, list). The walk
@@ -267,9 +290,7 @@ def _campaign_universe(config) -> list[int]:
     cached = _universe_cache
     if cached is not None and cached[0] == key:
         return cached[1]
-    profile = profile_for_year(config.year)
-    q1_target = scale_count(profile.q1_full, config.scale)
-    universe = probe_list(seed=config.seed, limit=q1_target)
+    universe = probe_list(seed=config.seed, limit=campaign_probe_count(config))
     _universe_cache = (key, universe)
     return universe
 
@@ -284,29 +305,38 @@ def _campaign_universe(config) -> list[int]:
 #: transparent-forwarder overlay (the one in-place mutation) is
 #: applied exactly once before the value enters the cache, assignments
 #: and specs are frozen dataclasses, and ``deploy`` builds fresh
-#: per-network hosts — so shards in one process (inline engines) and
-#: fork children (multicore) can all share it without byte drift.
+#: per-network hosts — so every shard in one process and every fork
+#: child can share it without byte drift.
 _world_cache: tuple[tuple, tuple] | None = None
 
 
-def _campaign_world(config, universe) -> tuple:
-    """(population, software_map, banners, validators) for ``config``."""
+def _campaign_world(
+    config, population_override: SampledPopulation | None = None
+) -> tuple:
+    """(population, software_map, banners, validators) for ``config``.
+
+    ``population_override`` (an evolved world, see :mod:`repro.monitor`)
+    replaces the sampled population and bypasses the memo: it is not
+    derivable from the config, and no universe is walked for it.
+    """
     global _world_cache
     key = (
         config.seed, config.year, config.scale,
         config.fingerprinting, config.dnssec,
     )
-    cached = _world_cache
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    infrastructure = {ROOT_IP, TLD_IP, AUTH_IP, PROBER_IP}
-    population = PopulationSampler(
-        profile_for_year(config.year),
-        scale=config.scale,
-        seed=config.seed,
-        excluded_ips=infrastructure,
-        universe=universe,
-    ).sample()
+    if population_override is None:
+        cached = _world_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        population = PopulationSampler(
+            profile_for_year(config.year),
+            scale=config.scale,
+            seed=config.seed,
+            excluded_ips={ROOT_IP, TLD_IP, AUTH_IP, PROBER_IP},
+            universe=_campaign_universe(config),
+        ).sample()
+    else:
+        population = population_override
     software_map: dict[str, object] = {}
     banners: dict[str, str | None] = {}
     if config.fingerprinting:
@@ -321,12 +351,14 @@ def _campaign_world(config, universe) -> tuple:
         validators = assign_validators(
             population, year=config.year, seed=config.seed
         )
-    # Transparent-forwarder overlay, exactly as the serial engine
-    # applies it: an independent seeded lane, so every shard and the
-    # parent see the same hosts flipped to the same upstreams.
+    # Post-sampling overlay: flip the calibrated share of std-resolvers
+    # into transparent forwarders. An independent seeded lane, so every
+    # shard and the parent see the same hosts flipped to the same
+    # upstreams; idempotent, so re-applying it to an override is safe.
     assign_transparent_forwarders(population, seed=config.seed)
     world = (population, software_map, banners, validators)
-    _world_cache = (key, world)
+    if population_override is None:
+        _world_cache = (key, world)
     return world
 
 
@@ -338,51 +370,97 @@ def prime_shard_caches(
     The multicore engine calls this in the parent before forking so
     children inherit both O(universe) artifacts — the permutation walk
     and the sampled population — instead of recomputing them per
-    worker. The universe is config-pure even when an evolved world
-    overrides the population, so it is primed in every case; only the
-    world memo is skipped then (the override replaces it).
+    worker. An override replaces the sampled world; its shards still
+    slice the universe, unless one shard probes it all.
     """
-    universe = _campaign_universe(config)
     if population_override is None:
-        _campaign_world(config, universe)
+        _campaign_world(config)
+    elif config.workers > 1:
+        _campaign_universe(config)
 
 
-def _build_world(config, network: Network, universe, population_override=None):
-    """Hierarchy + full population + intel maps, as the serial run builds them.
+@dataclasses.dataclass
+class ShardWorld:
+    """A deployed simulation: one network and everything bound to it."""
 
-    Returns (hierarchy, population, software_map, banners, validators).
-    Deterministic in (seed, scale, year): every shard and the parent
-    compute identical worlds, so behavior does not depend on which
-    process deploys which host.
+    network: Network
+    hierarchy: Hierarchy
+    population: SampledPopulation
+    software_map: dict[str, object]
+    validators: set[str]
+    #: The part of ``population`` deployed on ``network``: all of it
+    #: for one shard, the shard's hosts otherwise.
+    deployed: SampledPopulation
+    #: The addresses this world's shard probes, in probe order; None
+    #: when the prober walks the permutation itself (one shard with a
+    #: population override, so no universe is materialized).
+    addresses: list[int] | None
+
+
+def build_world(
+    config,
+    seed: int,
+    population_override: SampledPopulation | None = None,
+    index: int = 0,
+    workers: int = 1,
+    hub: TelemetryHub | None = None,
+) -> ShardWorld:
+    """Shard ``index`` of ``workers``' world on a network seeded ``seed``.
+
+    The one world builder: a shard scans it, a serial run (shard 0 of
+    1) keeps it, and a sharded result gets a never-scanned whole world
+    for follow-up scans. Deterministic in (seed, scale, year), so
+    behavior does not depend on which process deploys which host. A
+    split deploys only the hosts in the shard's slice; one shard
+    deploys the whole population with no slice and no filter.
     """
-    hierarchy = build_hierarchy(network)
-    if population_override is not None:
-        # An evolved world bypasses the cache: it is not derivable from
-        # the config, and its overlay was applied when it was built.
-        population = population_override
-        software_map: dict[str, object] = {}
-        banners: dict[str, str | None] = {}
-        if config.fingerprinting:
-            from repro.fingerprint.identities import assign_software
-
-            software_map = assign_software(population, seed=config.seed)
-            banners = {
-                ip: identity.banner
-                for ip, identity in software_map.items()
-            }
-        validators: set[str] = set()
-        if config.dnssec:
-            from repro.dnssec.census import assign_validators
-
-            validators = assign_validators(
-                population, year=config.year, seed=config.seed
-            )
-        assign_transparent_forwarders(population, seed=config.seed)
-        return hierarchy, population, software_map, banners, validators
-    population, software_map, banners, validators = _campaign_world(
-        config, universe
+    loss = BernoulliLoss(config.loss_rate) if config.loss_rate else None
+    network = Network(
+        seed=seed,
+        latency=LogNormalLatency(median=config.latency_median, sigma=0.5),
+        loss=loss,
     )
-    return hierarchy, population, software_map, banners, validators
+    if hub is not None:
+        hub.tracer.clock = lambda: network.scheduler.now
+    hierarchy = build_hierarchy(network)
+    with maybe_span(hub, "universe_walk"):
+        population, software_map, banners, validators = _campaign_world(
+            config, population_override
+        )
+        addresses = None
+        if workers > 1:
+            addresses = shard_universe(
+                _campaign_universe(config), index, workers
+            )
+        elif population_override is None:
+            addresses = _campaign_universe(config)
+    deployed = population
+    if workers > 1:
+        deployed = dataclasses.replace(
+            population,
+            assignments=shard_assignments(population.assignments, addresses),
+        )
+    with maybe_span(hub, "deploy", hosts=len(deployed.assignments)):
+        deployed.deploy(
+            network, auth_ip=hierarchy.auth.ip, version_banners=banners,
+            dnssec_validators=validators,
+        )
+        # The shared upstreams answer relays from *any* shard's
+        # transparent hosts, so every world deploys all of them (they
+        # are never probed — TEST-NET-1 is outside the universe — hence
+        # never double-counted).
+        deploy_forwarder_upstreams(
+            network, population.profile, hierarchy.auth.ip
+        )
+    return ShardWorld(
+        network=network,
+        hierarchy=hierarchy,
+        population=population,
+        software_map=software_map,
+        validators=validators,
+        deployed=deployed,
+        addresses=addresses,
+    )
 
 
 def _chaos_fail_count(env_name: str, index: int) -> int:
@@ -423,8 +501,6 @@ def _dump_flight_recorder(
 def run_shard(task: ShardTask, event_batch: int | None = None) -> ShardOutcome:
     """Execute one shard's scan to completion (worker entry point).
 
-    Top-level and argument-picklable so it can run under
-    ``ProcessPoolExecutor`` with either the fork or spawn start method.
     Any failure is re-raised as :class:`ShardExecutionError` carrying
     the shard index and derived seed, so the crash is reproducible from
     the error message alone. When the task carries a telemetry config
@@ -436,7 +512,7 @@ def run_shard(task: ShardTask, event_batch: int | None = None) -> ShardOutcome:
     and therefore every shipped byte — is identical to the unbounded
     drain.
     """
-    shard_seed = derive_seed(task.config.seed, task.index, task.workers)
+    seed = shard_seed(task.config.seed, task.index, task.workers)
     hub: TelemetryHub | None = None
     if task.telemetry is not None and task.telemetry.enabled:
         hub = TelemetryHub(task.telemetry)
@@ -445,71 +521,70 @@ def run_shard(task: ShardTask, event_batch: int | None = None) -> ShardOutcome:
             hub, task, f"injected chaos failure ({CHAOS_RAISE_ENV})"
         )
         raise ShardExecutionError(
-            task.index, task.workers, shard_seed,
+            task.index, task.workers, seed,
             f"injected chaos failure ({CHAOS_RAISE_ENV})",
         )
     if task.attempt < _chaos_fail_count(CHAOS_EXIT_ENV, task.index):
         os._exit(13)
     try:
-        return _run_shard_scan(task, shard_seed, hub, event_batch=event_batch)
+        with maybe_span(
+            hub, "shard", index=task.index, workers=task.workers,
+            attempt=task.attempt, seed=seed,
+        ):
+            outcome, _ = _run_shard_scan(task, hub, event_batch=event_batch)
+        if hub is not None:
+            outcome.telemetry = hub.snapshot()
+        return outcome
     except ShardExecutionError as exc:
         _dump_flight_recorder(hub, task, str(exc))
         raise
     except Exception as exc:
         _dump_flight_recorder(hub, task, f"{type(exc).__name__}: {exc}")
         raise ShardExecutionError(
-            task.index, task.workers, shard_seed,
+            task.index, task.workers, seed,
             f"{type(exc).__name__}: {exc}",
         ) from exc
 
 
 def _run_shard_scan(
     task: ShardTask,
-    shard_seed: int,
     hub: TelemetryHub | None = None,
     event_batch: int | None = None,
-) -> ShardOutcome:
+) -> tuple[ShardOutcome, ShardWorld]:
+    """Build shard ``task``'s world, scan it, and return both."""
     config = task.config
     profile = profile_for_year(config.year)
-    loss = BernoulliLoss(config.loss_rate) if config.loss_rate else None
-    network = Network(
-        seed=shard_seed,
-        latency=LogNormalLatency(median=config.latency_median, sigma=0.5),
-        loss=loss,
+    world = build_world(
+        config,
+        shard_seed(config.seed, task.index, task.workers),
+        task.population_override,
+        task.index,
+        task.workers,
+        hub,
     )
-    if hub is not None:
-        hub.tracer.clock = lambda: network.scheduler.now
-    universe = _campaign_universe(config)
-    hierarchy, population, _, banners, validators = _build_world(
-        config, network, universe, task.population_override
+    network, hierarchy, addresses = (
+        world.network, world.hierarchy, world.addresses
     )
     network.attach_faults(
         build_injector(
             config.fault_profile, config.seed, task.index, task.workers,
+            # The shared forwarder upstreams are infrastructure too:
+            # blackholing one would silently convert its whole
+            # transparent fan-in into unresponsive hosts.
             exempt={
                 hierarchy.root.ip, hierarchy.tld.ip, hierarchy.auth.ip,
                 PROBER_IP, *profile.forwarder_upstreams,
             },
         )
     )
-    addresses = shard_universe(universe, task.index, task.workers)
     cluster_base, cluster_limit = cluster_namespace_slice(
         task.index, task.workers
     )
-    local = dataclasses.replace(
-        population,
-        assignments=shard_assignments(population.assignments, addresses),
-    )
-    local.deploy(
-        network, auth_ip=hierarchy.auth.ip, version_banners=banners,
-        dnssec_validators=validators,
-    )
-    # The shared upstreams answer relays from *any* shard's transparent
-    # hosts, so every shard deploys all of them (they are never probed
-    # — TEST-NET-1 is outside the universe — hence never double-counted).
-    deploy_forwarder_upstreams(network, profile, hierarchy.auth.ip)
     probe_config = ProbeConfig(
-        q1_target=len(addresses),
+        q1_target=(
+            len(addresses) if addresses is not None
+            else campaign_probe_count(config)
+        ),
         rate_pps=profile.probe_rate_pps
         * config.time_compression
         / config.scale
@@ -519,7 +594,7 @@ def _run_shard_scan(
         seed=config.seed,
         sld=hierarchy.sld,
         record_sent_log=config.record_sent_log,
-        addresses=tuple(addresses),
+        addresses=tuple(addresses) if addresses is not None else None,
         cluster_base=cluster_base,
         cluster_limit=cluster_limit,
         retry=config.retry_policy(),
@@ -537,7 +612,7 @@ def _run_shard_scan(
             retain_flows=not config.drop_captures,
         )
         pipeline.attach(network)
-    hint = local.address_set() if config.fast else None
+    hint = world.deployed.address_set() if config.fast else None
     prober = Prober(
         network, hierarchy.auth, probe_config, ip=PROBER_IP,
         responder_hint=hint, telemetry=hub,
@@ -570,10 +645,7 @@ def _run_shard_scan(
         sink = hub._sink
         if sink is not None:
             on_batch = sink.flush
-    with maybe_span(
-        hub, "shard", index=task.index, workers=task.workers,
-        attempt=task.attempt, seed=shard_seed,
-    ):
+    with maybe_span(hub, "scan"):
         capture = prober.run(event_batch=event_batch, on_batch=on_batch)
     if hub is not None:
         hub.detach()
@@ -596,206 +668,46 @@ def _run_shard_scan(
     if config.mode == "stream" and config.drop_captures:
         query_log: list[QueryLogEntry] = []
     else:
-        # The shard's world dies with this function, so the log needs no
-        # defensive copy before shipping (unlike the serial path, whose
-        # auth server keeps appending during follow-up scans). With
-        # retention opted out it is not shipped at all.
+        # Shipped without a copy: a worker's world dies with it, and
+        # finalize_outcomes copies the log into the result, so an
+        # in-process world's later follow-up scans never reach it.
+        # With retention opted out it is not shipped at all.
         query_log = (
             hierarchy.auth.query_log if config.retain_query_log else []
         )
-    return ShardOutcome(
+    outcome = ShardOutcome(
         index=task.index,
         capture=capture,
         flow_set=flow_set,
         query_log=query_log,
         aggregate=aggregate,
         stream_stats=stream_stats,
-        telemetry=hub.snapshot() if hub is not None else None,
     )
+    return outcome, world
 
 
-def _supports_process_pool() -> bool:
-    try:
-        return bool(multiprocessing.get_all_start_methods())
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
-
-
-def _note_pool_fallback(reason: str, hub: TelemetryHub | None) -> None:
-    """A "parallel" round is about to run serially — say so, loudly once.
-
-    The inline result is byte-identical, but the wall-clock expectation
-    is not: a user who asked for N workers should know the pool was
-    unavailable. Counted on ``campaign.pool_fallbacks`` when telemetry
-    is on, and surfaced as a one-line RuntimeWarning either way.
-    """
-    if hub is not None:
-        hub.registry.counter("campaign.pool_fallbacks").inc()
-    warnings.warn(
-        f"process pool unavailable ({reason}); shard round running inline "
-        "in one process (results are identical, wall clock is not)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _run_tasks(
-    tasks: list[ShardTask], parallelism: str, hub: TelemetryHub | None = None
-) -> list[tuple[ShardTask, "ShardOutcome | BaseException"]]:
-    """Run one round of shard tasks, capturing per-shard failures.
-
-    Returns (task, outcome-or-exception) pairs — a failed shard never
-    aborts its siblings; the recovery loop in :func:`run_sharded`
-    decides whether to requeue it. ``parallelism``: ``"process"``
-    forces the pool, ``"inline"`` forces in-process execution,
-    ``"auto"`` picks the pool when the platform has one and more than
-    one task exists. A worker killed outright breaks the whole
-    ``ProcessPoolExecutor`` — every task still in flight surfaces as
-    ``BrokenExecutor`` and is retried in a fresh pool on the next
-    round. Pool failures that predate any shard work (sandboxed
-    semaphores, unpicklable overrides) fall back to inline execution —
-    the result is identical either way, and the fallback is announced
-    via :func:`_note_pool_fallback`.
-    """
-    use_pool = parallelism == "process" or (
-        parallelism == "auto" and len(tasks) > 1 and _supports_process_pool()
-    )
-    if use_pool:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(len(tasks), max(1, os.cpu_count() or 1))
-            ) as pool:
-                futures = {pool.submit(run_shard, task): task for task in tasks}
-                results = []
-                unpicklable = False
-                for future in concurrent.futures.as_completed(futures):
-                    task = futures[future]
-                    try:
-                        results.append((task, future.result()))
-                    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-                        # The task could not cross the process boundary;
-                        # a pool retry would fail forever.
-                        unpicklable = True
-                        results.append((task, exc))
-                    except BaseException as exc:
-                        results.append((task, exc))
-                if not (unpicklable and parallelism == "auto"):
-                    return results
-            _note_pool_fallback("task not picklable", hub)
-        except (OSError, pickle.PicklingError, concurrent.futures.BrokenExecutor) as exc:
-            if parallelism == "process":
-                raise
-            _note_pool_fallback(f"{type(exc).__name__}: {exc}", hub)
-    results = []
-    for task in tasks:
-        try:
-            results.append((task, run_shard(task)))
-        except Exception as exc:
-            results.append((task, exc))
-    return results
-
-
-def run_sharded(
+def run_in_process(
     config,
     population_override: SampledPopulation | None = None,
-    parallelism: str = "auto",
-    checkpoint_dir=None,
-    resume: bool = False,
-    telemetry=None,
+    hub: TelemetryHub | None = None,
 ) -> "CampaignResult":  # noqa: F821
-    """Run a campaign as ``config.workers`` shards and merge the results.
+    """Run the whole campaign as shard 0 of 1 in this process.
 
-    The merged :class:`CampaignResult` carries a live parent world —
-    population deployed on a (never-scanned) parent network — so
-    follow-up scans (fingerprinting, DNSSEC census) work exactly as
-    they do on a serial result.
-
-    Failure domains: a shard whose worker raises or dies is requeued
-    with the same derived seed up to ``config.max_shard_retries``
-    times (the re-run is byte-identical, so recovery cannot skew the
-    tables). With ``checkpoint_dir`` every completed shard is persisted
-    as it finishes and ``resume=True`` re-executes only the shards
-    missing from that directory. Shards that exhaust their retries are
-    recorded in the result's ``degraded`` manifest — which shards, how
-    many probes went unexecuted — instead of raising; only a campaign
-    with *zero* surviving shards raises :class:`ShardExecutionError`.
-
-    ``telemetry`` (a :class:`~repro.telemetry.hub.TelemetryConfig` or
-    :class:`~repro.telemetry.hub.TelemetryHub`) instruments every shard
-    worker: each runs its own hub and ships a mergeable snapshot back
-    on its outcome; the parent folds them (counters add, shard spans
-    nest under the parent trace, heartbeats are shard-tagged) and the
-    merged snapshot lands on ``result.telemetry``. A failing worker
-    with a configured ``flight_dump_dir`` dumps its flight recorder.
+    A serial campaign: no worker, no ring, no parent-world rebuild. The
+    shard's own scanned world becomes the result's world, so follow-up
+    scans (fingerprinting, the DNSSEC censuses) run on the network the
+    campaign measured. ``hub`` is the caller's: the scan records into
+    it directly.
     """
-    if parallelism not in ("auto", "process", "inline"):
-        raise ValueError(f"unknown parallelism mode: {parallelism!r}")
-    hub = as_hub(telemetry)
-    workers = config.workers
-    cluster_namespace_slice(0, workers)  # reject impossible splits up front
-    fingerprint = checkpoint_fingerprint(config)
-    completed: dict[int, ShardOutcome] = {}
-    if resume:
-        if checkpoint_dir is None:
-            raise ValueError("resume=True requires a checkpoint_dir")
-        from repro.datasets.store import load_shard_checkpoints
-
-        completed = {
-            index: outcome
-            for index, outcome in load_shard_checkpoints(
-                checkpoint_dir, fingerprint
-            ).items()
-            if 0 <= index < workers
-        }
-    if checkpoint_dir is not None:
-        from repro.datasets.store import save_shard_checkpoint
-
-    pending = [index for index in range(workers) if index not in completed]
-    attempts = dict.fromkeys(pending, 0)
-    failures: dict[int, tuple[int, BaseException]] = {}
-    with maybe_span(
-        hub, "shard_execution", workers=workers,
-        resumed=len(completed), pending=len(pending),
-    ):
-        while pending:
-            tasks = [
-                ShardTask(
-                    config=config,
-                    index=index,
-                    workers=workers,
-                    population_override=population_override,
-                    attempt=attempts[index],
-                    telemetry=hub.config if hub is not None else None,
-                )
-                for index in pending
-            ]
-            requeue = []
-            for task, result in _run_tasks(tasks, parallelism, hub):
-                if isinstance(result, ShardOutcome):
-                    completed[result.index] = result
-                    if checkpoint_dir is not None:
-                        save_shard_checkpoint(
-                            checkpoint_dir, fingerprint, result.index, result
-                        )
-                    continue
-                attempts[task.index] += 1
-                if hub is not None:
-                    hub.registry.counter("campaign.shard_attempts_failed").inc()
-                if attempts[task.index] > config.max_shard_retries:
-                    failures[task.index] = (attempts[task.index], result)
-                else:
-                    requeue.append(task.index)
-            pending = sorted(requeue)
-        if hub is not None:
-            # Fold every shard's snapshot (resumed checkpoints included;
-            # pre-telemetry checkpoints lack the attribute entirely).
-            for index in sorted(completed):
-                hub.merge_snapshot(
-                    getattr(completed[index], "telemetry", None), shard=index
-                )
-    return finalize_outcomes(
-        config, completed, failures, population_override, hub
+    task = ShardTask(
+        config=config, index=0, workers=1,
+        population_override=population_override,
     )
+    outcome, world = _run_shard_scan(task, hub)
+    with maybe_span(hub, "merge_and_analyze"):
+        return finalize_outcomes(
+            config, {0: outcome}, {}, population_override, hub, world=world
+        )
 
 
 def finalize_outcomes(
@@ -804,15 +716,17 @@ def finalize_outcomes(
     failures: dict[int, tuple[int, BaseException]],
     population_override: SampledPopulation | None = None,
     hub: TelemetryHub | None = None,
+    world: ShardWorld | None = None,
 ) -> "CampaignResult":  # noqa: F821
     """Merge completed shard outcomes into a :class:`CampaignResult`.
 
-    The single finalization path shared by both execution engines
-    (:func:`run_sharded` and :func:`repro.core.multicore.run_multicore`):
-    whatever transported the outcomes — pickles through a pool, compact
-    frames through a ring — the merge, the parent-world rebuild, the
-    analysis dispatch and the degraded-manifest accounting are this one
-    function, so the engines cannot drift apart byte-wise.
+    The single finalization path of every campaign: whatever carried
+    the outcomes — a return value in this process, compact frames
+    through a ring — the merge, the analysis dispatch and the
+    degraded-manifest accounting are this one function, so execution
+    modes cannot drift apart byte-wise. ``world`` is the in-process
+    shard's scanned world; without one (sharded runs) a never-scanned
+    parent world is built for follow-up scans.
     """
     from repro.core.campaign import (
         Campaign,
@@ -824,7 +738,7 @@ def finalize_outcomes(
     if not completed:
         index, (tries, error) = sorted(failures.items())[0]
         raise ShardExecutionError(
-            index, workers, derive_seed(config.seed, index, workers),
+            index, workers, shard_seed(config.seed, index, workers),
             f"all {workers} shard(s) failed after {tries} attempt(s); "
             f"first error: {error}",
         )
@@ -842,27 +756,14 @@ def finalize_outcomes(
         query_log = [
             entry for outcome in outcomes for entry in outcome.query_log
         ]
-    loss = BernoulliLoss(config.loss_rate) if config.loss_rate else None
-    network = Network(
-        seed=config.seed,
-        latency=LogNormalLatency(median=config.latency_median, sigma=0.5),
-        loss=loss,
-    )
-    universe = _campaign_universe(config)
-    with maybe_span(hub, "build_parent_world"):
-        hierarchy, population, software_map, banners, validators = _build_world(
-            config, network, universe, population_override
-        )
-        population.deploy(
-            network, auth_ip=hierarchy.auth.ip, version_banners=banners,
-            dnssec_validators=validators,
-        )
-        # Follow-up scans against the parent world (fingerprinting, the
-        # DNSSEC censuses) must see the upstreams a serial network has.
-        deploy_forwarder_upstreams(
-            network, population.profile, hierarchy.auth.ip
-        )
+    if world is None:
+        with maybe_span(hub, "build_parent_world"):
+            world = build_world(config, config.seed, population_override)
     campaign = Campaign(config)
+    analyzed = (
+        world.population, world.hierarchy, world.network,
+        world.software_map, world.validators, capture, flow_set,
+    )
     with maybe_span(hub, "analyze", mode=config.mode):
         if config.mode == "stream":
             # merge_aggregates folds into its first element; outcomes are
@@ -875,33 +776,28 @@ def finalize_outcomes(
             for outcome in outcomes:
                 stream_stats.merge(outcome.stream_stats)
             result = campaign._analyze_stream(
-                population, hierarchy, network, software_map, validators,
-                capture, flow_set, aggregate, stream_stats,
-                query_log=query_log,
+                *analyzed, aggregate, stream_stats, query_log=query_log,
             )
         else:
-            result = campaign._analyze(
-                population, hierarchy, network, software_map, validators,
-                capture, flow_set, query_log=query_log,
-            )
+            result = campaign._analyze(*analyzed, query_log=query_log)
     if hub is not None:
         hub.registry.counter("campaign.shards_completed").inc(len(outcomes))
         hub.registry.counter("campaign.shards_failed").inc(len(failures))
-        result.telemetry = hub.snapshot()
     if failures:
+        planned = campaign_probe_count(config)
         records = [
             ShardFailureRecord(
                 index=index,
-                seed=derive_seed(config.seed, index, workers),
+                seed=shard_seed(config.seed, index, workers),
                 attempts=tries,
-                probes_lost=len(shard_universe(universe, index, workers)),
+                probes_lost=shard_probe_count(planned, index, workers),
                 error=str(error),
             )
             for index, (tries, error) in sorted(failures.items())
         ]
         result.degraded = DegradedManifest(
             failed_shards=records,
-            probes_planned=len(universe),
+            probes_planned=planned,
             probes_lost=sum(record.probes_lost for record in records),
         )
     return result

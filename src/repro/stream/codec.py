@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import pickle
 import struct
+import sys
 
 from repro.prober.probe import ProbeCapture
 from repro.prober.subdomain import ClusterStats
@@ -97,7 +98,10 @@ def _w_str(out: bytearray, text: str) -> None:
 def _r_str(buf: memoryview, pos: int) -> tuple[str, int]:
     (length,) = _U32.unpack_from(buf, pos)
     pos += 4
-    return bytes(buf[pos:pos + length]).decode("utf-8"), pos + length
+    # Interned: an address repeated across the aggregate's maps is one
+    # object again, so a checkpoint pickle of decoded state stays small.
+    text = sys.intern(bytes(buf[pos:pos + length]).decode("utf-8"))
+    return text, pos + length
 
 
 def _w_int_counts(out: bytearray, mapping: dict[int, int]) -> None:

@@ -102,9 +102,9 @@ class TestByteGoldens(object):
         # same config renders, too.
         import dataclasses
 
-        from repro.core.shard import run_sharded
+        from repro.core.multicore import run_multicore
 
-        sharded = run_sharded(
+        sharded = run_multicore(
             dataclasses.replace(GOLDEN_CONFIG, workers=2), parallelism="inline"
         )
         assert sharded.report() == golden_result.report()

@@ -24,10 +24,10 @@ from repro.attacks import (
     run_attack_matrix,
 )
 from repro.core import Campaign, CampaignConfig
+from repro.core.multicore import run_multicore
 from repro.core.shard import (
     CHAOS_RAISE_ENV,
     checkpoint_fingerprint,
-    run_sharded,
 )
 from repro.datasets.store import load_shard_checkpoints
 
@@ -43,7 +43,7 @@ def _config(**overrides):
 def _run(**overrides):
     config = _config(**overrides)
     if config.workers > 1:
-        return run_sharded(config, parallelism="inline")
+        return run_multicore(config, parallelism="inline")
     return Campaign(config).run()
 
 
@@ -101,7 +101,7 @@ class TestResumeEquivalence:
         config = _config(workers=4, max_shard_retries=0)
         checkpoint_dir = tmp_path / "ckpt"
         monkeypatch.setenv(CHAOS_RAISE_ENV, "3:99")
-        interrupted = run_sharded(
+        interrupted = run_multicore(
             config, parallelism="inline", checkpoint_dir=checkpoint_dir
         )
         assert interrupted.degraded is not None
@@ -113,7 +113,7 @@ class TestResumeEquivalence:
         assert sorted(saved) == [0, 1, 2]
 
         monkeypatch.delenv(CHAOS_RAISE_ENV)
-        resumed = run_sharded(
+        resumed = run_multicore(
             config,
             parallelism="inline",
             checkpoint_dir=checkpoint_dir,

@@ -24,10 +24,10 @@ import dataclasses
 import pytest
 
 from repro.core import Campaign, CampaignConfig
+from repro.core.multicore import run_multicore
 from repro.core.shard import (
     CHAOS_RAISE_ENV,
     checkpoint_fingerprint,
-    run_sharded,
 )
 from repro.datasets.store import load_shard_checkpoints
 
@@ -48,7 +48,7 @@ def _config(**overrides):
 def _run(**overrides):
     config = _config(**overrides)
     if config.workers > 1:
-        return run_sharded(config, parallelism="inline")
+        return run_multicore(config, parallelism="inline")
     return Campaign(config).run()
 
 
@@ -128,7 +128,7 @@ class TestResumeEquivalence:
         # Kill shard 3 on its first attempt: the run checkpoints shards
         # 0-2 and exits degraded, a genuine mid-campaign interruption.
         monkeypatch.setenv(CHAOS_RAISE_ENV, "3:99")
-        interrupted = run_sharded(
+        interrupted = run_multicore(
             config, parallelism="inline", checkpoint_dir=checkpoint_dir
         )
         assert interrupted.degraded is not None
@@ -138,13 +138,13 @@ class TestResumeEquivalence:
         assert sorted(saved) == [0, 1, 2]
 
         monkeypatch.delenv(CHAOS_RAISE_ENV)
-        resumed = run_sharded(
+        resumed = run_multicore(
             config,
             parallelism="inline",
             checkpoint_dir=checkpoint_dir,
             resume=True,
         )
-        full = run_sharded(config, parallelism="inline")
+        full = run_multicore(config, parallelism="inline")
         assert resumed.degraded is None
         _assert_same_tables(resumed, full)
 

@@ -6,9 +6,9 @@ hold simultaneously:
 * **off** — the default ladder, every report and golden pin, is
   byte-identical to a build that has never heard of policies;
 * **on** — the extended ladder's decisions are a pure function of the
-  seed: serial batch, sharded pool (any worker count), streaming, and
-  the multicore engine all render byte-identical matrices and policy
-  decision tables.
+  seed: serial batch, sharded runs in worker processes or in process
+  (any worker count) and streaming all render byte-identical matrices
+  and policy decision tables.
 
 Golden pins freeze the policy cells at the seed-3 reference config, the
 same convention as ``test_attack_determinism``: a drift means a rule,
@@ -28,7 +28,6 @@ from repro.attacks import (
 )
 from repro.core import Campaign, CampaignConfig
 from repro.core.multicore import run_multicore
-from repro.core.shard import run_sharded
 
 SCALE = 65536
 
@@ -43,10 +42,8 @@ def _config(**overrides):
 
 def _run(**overrides):
     config = _config(**overrides)
-    if config.engine == "multicore":
-        return run_multicore(config, parallelism="inline")
     if config.workers > 1:
-        return run_sharded(config, parallelism="inline")
+        return run_multicore(config, parallelism="inline")
     return Campaign(config).run()
 
 
@@ -86,7 +83,10 @@ class TestCrossEngineEquivalence:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_sharded_pool_matches_serial(self, serial_batch, workers):
-        self._assert_same(_run(workers=workers), serial_batch)
+        # Campaign.run routes a sharded config to worker processes.
+        self._assert_same(
+            Campaign(_config(workers=workers)).run(), serial_batch
+        )
 
     def test_stream_matches_serial(self, serial_batch):
         self._assert_same(_run(mode="stream", workers=2), serial_batch)
@@ -94,7 +94,8 @@ class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_multicore_matches_serial(self, serial_batch, workers):
         self._assert_same(
-            _run(engine="multicore", workers=workers), serial_batch
+            run_multicore(_config(workers=workers), parallelism="inline"),
+            serial_batch,
         )
 
     def test_standalone_matrix_matches_campaign(self, serial_batch):

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro.core import Campaign, CampaignConfig
+from repro.core.multicore import run_multicore
 from repro.core.shard import (
     CHAOS_EXIT_ENV,
     CHAOS_RAISE_ENV,
@@ -18,7 +19,6 @@ from repro.core.shard import (
     ShardTask,
     checkpoint_fingerprint,
     run_shard,
-    run_sharded,
     shard_universe,
 )
 from repro.datasets.store import load_shard_checkpoints
@@ -74,7 +74,7 @@ class TestShardFailureReporting:
 class TestCrashRecovery:
     def test_killed_shard_requeued_byte_identical(self, serial, monkeypatch):
         monkeypatch.setenv(CHAOS_RAISE_ENV, "0:1")
-        result = run_sharded(
+        result = run_multicore(
             sharded_config(max_shard_retries=1), parallelism="inline"
         )
         assert result.degraded is None
@@ -82,7 +82,7 @@ class TestCrashRecovery:
 
     def test_exhausted_retries_degrade_gracefully(self, monkeypatch):
         monkeypatch.setenv(CHAOS_RAISE_ENV, "2:99")
-        result = run_sharded(
+        result = run_multicore(
             sharded_config(max_shard_retries=1), parallelism="inline"
         )
         degraded = result.degraded
@@ -103,18 +103,18 @@ class TestCrashRecovery:
             CHAOS_RAISE_ENV, "0:99,1:99,2:99,3:99"
         )
         with pytest.raises(ShardExecutionError, match="all 4 shard"):
-            run_sharded(
+            run_multicore(
                 sharded_config(max_shard_retries=0), parallelism="inline"
             )
 
     def test_hard_killed_worker_recovered_in_fresh_pool(
         self, serial, monkeypatch
     ):
-        # os._exit(13) takes the worker process down mid-flight, which
-        # breaks the whole pool; the recovery loop must requeue into a
-        # fresh pool and still merge byte-identically.
+        # os._exit(13) takes the worker process down mid-flight, before
+        # it ships a frame; the recovery loop must requeue it into a
+        # fresh worker and still merge byte-identically.
         monkeypatch.setenv(CHAOS_EXIT_ENV, "1:1")
-        result = run_sharded(
+        result = run_multicore(
             sharded_config(max_shard_retries=2), parallelism="process"
         )
         assert result.degraded is None
@@ -125,7 +125,7 @@ class TestCheckpointResume:
     def test_resume_runs_only_missing_shards(self, serial, monkeypatch, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
         monkeypatch.setenv(CHAOS_RAISE_ENV, "3:99")
-        interrupted = run_sharded(
+        interrupted = run_multicore(
             sharded_config(max_shard_retries=0),
             parallelism="inline",
             checkpoint_dir=checkpoint_dir,
@@ -139,14 +139,14 @@ class TestCheckpointResume:
         monkeypatch.delenv(CHAOS_RAISE_ENV)
         executed = []
 
-        def counting_run_shard(task):
+        def counting_run_shard(task, **kwargs):
             executed.append(task.index)
-            return run_shard(task)
+            return run_shard(task, **kwargs)
 
         monkeypatch.setattr(
-            "repro.core.shard.run_shard", counting_run_shard
+            "repro.core.multicore.run_shard", counting_run_shard
         )
-        resumed = run_sharded(
+        resumed = run_multicore(
             sharded_config(),
             parallelism="inline",
             checkpoint_dir=checkpoint_dir,
@@ -164,13 +164,13 @@ class TestCheckpointResume:
         self, serial, monkeypatch, tmp_path
     ):
         checkpoint_dir = tmp_path / "ckpt"
-        run_sharded(
+        run_multicore(
             sharded_config(), parallelism="inline",
             checkpoint_dir=checkpoint_dir,
         )
         monkeypatch.setattr(
-            "repro.core.shard.run_shard",
-            lambda task: pytest.fail("no shard should re-run"),
+            "repro.core.multicore.run_shard",
+            lambda task, **kwargs: pytest.fail("no shard should re-run"),
         )
         resumed = Campaign(sharded_config()).run(
             resume_from=checkpoint_dir
@@ -179,12 +179,12 @@ class TestCheckpointResume:
 
     def test_resume_rejects_a_different_campaign(self, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
-        run_sharded(
+        run_multicore(
             sharded_config(), parallelism="inline",
             checkpoint_dir=checkpoint_dir,
         )
         with pytest.raises(ValueError, match="different campaign"):
-            run_sharded(
+            run_multicore(
                 dataclasses.replace(sharded_config(), seed=4),
                 parallelism="inline",
                 checkpoint_dir=checkpoint_dir,
@@ -195,36 +195,36 @@ class TestCheckpointResume:
         # max_shard_retries is excluded from the fingerprint: retrying
         # harder on resume is a legitimate recovery move.
         checkpoint_dir = tmp_path / "ckpt"
-        run_sharded(
+        run_multicore(
             sharded_config(max_shard_retries=0), parallelism="inline",
             checkpoint_dir=checkpoint_dir,
         )
-        run_sharded(
+        run_multicore(
             sharded_config(max_shard_retries=3), parallelism="inline",
             checkpoint_dir=checkpoint_dir, resume=True,
         )
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_sharded(sharded_config(), parallelism="inline", resume=True)
+            run_multicore(sharded_config(), parallelism="inline", resume=True)
 
     def test_torn_checkpoint_is_re_run(self, serial, monkeypatch, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
-        run_sharded(
+        run_multicore(
             sharded_config(), parallelism="inline",
             checkpoint_dir=checkpoint_dir,
         )
         (checkpoint_dir / "shard_0002.pkl").write_bytes(b"torn write")
         executed = []
 
-        def counting_run_shard(task):
+        def counting_run_shard(task, **kwargs):
             executed.append(task.index)
-            return run_shard(task)
+            return run_shard(task, **kwargs)
 
         monkeypatch.setattr(
-            "repro.core.shard.run_shard", counting_run_shard
+            "repro.core.multicore.run_shard", counting_run_shard
         )
-        resumed = run_sharded(
+        resumed = run_multicore(
             sharded_config(), parallelism="inline",
             checkpoint_dir=checkpoint_dir, resume=True,
         )
@@ -238,7 +238,7 @@ class TestCheckpointResume:
         # was written to its temp name but the rename never happened,
         # so the directory holds a stray *.tmp and no shard_0002.pkl.
         checkpoint_dir = tmp_path / "ckpt"
-        run_sharded(
+        run_multicore(
             sharded_config(), parallelism="inline",
             checkpoint_dir=checkpoint_dir,
         )
@@ -248,14 +248,14 @@ class TestCheckpointResume:
         committed.unlink()
         executed = []
 
-        def counting_run_shard(task):
+        def counting_run_shard(task, **kwargs):
             executed.append(task.index)
-            return run_shard(task)
+            return run_shard(task, **kwargs)
 
         monkeypatch.setattr(
-            "repro.core.shard.run_shard", counting_run_shard
+            "repro.core.multicore.run_shard", counting_run_shard
         )
-        resumed = run_sharded(
+        resumed = run_multicore(
             sharded_config(), parallelism="inline",
             checkpoint_dir=checkpoint_dir, resume=True,
         )
@@ -300,10 +300,10 @@ class TestFaultProfileCampaigns:
         # Stochastic faults differ per shard, but every worker count
         # sees the same planned universe and target accounting.
         hostile = dataclasses.replace(CONFIG, fault_profile="hostile")
-        two = run_sharded(
+        two = run_multicore(
             dataclasses.replace(hostile, workers=2), parallelism="inline"
         )
-        four = run_sharded(
+        four = run_multicore(
             dataclasses.replace(hostile, workers=4), parallelism="inline"
         )
         assert two.capture.q1_sent == four.capture.q1_sent
@@ -312,7 +312,7 @@ class TestFaultProfileCampaigns:
 class TestShardUniverseAccounting:
     def test_probes_lost_matches_strided_slice(self, monkeypatch):
         monkeypatch.setenv(CHAOS_RAISE_ENV, "1:99")
-        result = run_sharded(
+        result = run_multicore(
             sharded_config(max_shard_retries=0), parallelism="inline"
         )
         from repro.core.shard import _campaign_universe

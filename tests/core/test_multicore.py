@@ -3,13 +3,15 @@
 Campaign-level byte identity across engines lives in
 ``tests/conformance/test_engines.py``; this file covers the engine's
 own machinery — scalar-only work distribution, frame handling, fault
-paths, engine stats, and the pool engine's newly-loud executor
-fallback.
+paths, engine stats, and the loud inline fallback when worker
+processes cannot start.
 """
 
 import dataclasses
+import multiprocessing
 import pickle
 import warnings
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -19,13 +21,9 @@ from repro.core.multicore import (
     _config_to_wire,
     run_multicore,
 )
-from repro.core.shard import (
-    CHAOS_EXIT_ENV,
-    CHAOS_RAISE_ENV,
-    ShardOutcome,
-    _run_tasks,
-    run_sharded,
-)
+from repro.core.ringbuf import ShmRing
+from repro.core.shard import CHAOS_EXIT_ENV, CHAOS_RAISE_ENV
+from repro.telemetry.hub import TelemetryConfig, as_hub
 
 SCALE = 65536
 
@@ -40,7 +38,7 @@ class TestWireConfig:
     def test_round_trips_every_field(self):
         config = _config(
             mode="stream", drop_captures=True, fault_profile="bursty",
-            engine="multicore", time_compression=4.0,
+            time_compression=4.0,
         )
         assert _config_from_wire(_config_to_wire(config)) == config
 
@@ -109,6 +107,8 @@ class TestValidation:
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
             CampaignConfig(year=2018, scale=SCALE, seed=3, engine="gpu")
+        with pytest.raises(ValueError):
+            CampaignConfig(year=2018, scale=SCALE, seed=3, engine="pool")
 
 
 class TestFaultPaths:
@@ -146,62 +146,89 @@ class TestCampaignDispatch:
         assert result.engine_stats is not None
         assert result.engine_stats["engine"] == "multicore"
 
-    def test_pool_engine_has_no_engine_stats(self):
-        result = Campaign(_config()).run()
+    def test_one_worker_runs_in_process(self):
+        # The compatibility field never routes: one worker is the
+        # in-process shard, with no engine accounting to report.
+        result = Campaign(_config(workers=1, engine="multicore")).run()
         assert result.engine_stats is None
 
 
+def _record_shm_segments(monkeypatch) -> list[str]:
+    """Record the name of every shared-memory ring the engine creates."""
+    names: list[str] = []
+    create = ShmRing.create.__func__
+
+    def recording_create(cls, *args, **kwargs):
+        ring = create(cls, *args, **kwargs)
+        names.append(ring.child_handle()[1])
+        return ring
+
+    monkeypatch.setattr(ShmRing, "create", classmethod(recording_create))
+    return names
+
+
+def _assert_unlinked(names: list[str]) -> None:
+    assert names, "the run created no shared-memory ring"
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+
+def _no_semaphores(*args, **kwargs):
+    raise OSError("semaphores unavailable")
+
+
 class TestPoolFallbackIsLoud:
-    """The executor fallback used to be silent: a sandboxed host (no
-    semaphores) would quietly run an N-worker round serially. It must
-    now warn once and count on ``campaign.pool_fallbacks``."""
-
-    def _tasks(self):
-        from repro.core.shard import ShardTask
-
-        config = _config()
-        return [
-            ShardTask(config=config, index=index, workers=2)
-            for index in range(2)
-        ]
+    """A sandboxed host (no semaphores, no shared memory) must not
+    quietly run an N-worker round serially: an ``auto`` run cleans up
+    what it started, warns once, counts on ``campaign.pool_fallbacks``
+    and finishes inline; a forced ``process`` run raises."""
 
     def test_broken_executor_warns_and_counts(self, monkeypatch):
-        import concurrent.futures
-
-        from repro.telemetry.hub import TelemetryConfig, as_hub
-
-        def _no_semaphores(*args, **kwargs):
-            raise OSError("semaphores unavailable")
-
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _no_semaphores
-        )
+        monkeypatch.setattr(multiprocessing.Process, "start", _no_semaphores)
+        segments = _record_shm_segments(monkeypatch)
         hub = as_hub(TelemetryConfig())
         with pytest.warns(RuntimeWarning, match="shard round running inline"):
-            results = _run_tasks(self._tasks(), "auto", hub)
-        assert len(results) == 2
-        assert all(
-            isinstance(outcome, ShardOutcome) for _, outcome in results
-        )
-        counters = hub.snapshot().metrics.counters
+            result = run_multicore(
+                _config(), parallelism="auto", ring="shm", telemetry=hub
+            )
+        assert result.degraded is None
+        assert result.engine_stats["transport"] == "memory"
+        counters = result.telemetry.metrics.counters
         assert counters.get("campaign.pool_fallbacks") == 1
+        assert result.report() == Campaign(_config(workers=1)).run().report()
+        _assert_unlinked(segments)
+
+    def test_ring_failure_reaps_started_workers(self, monkeypatch):
+        segments = _record_shm_segments(monkeypatch)
+        recording_create = ShmRing.create.__func__
+
+        def second_ring_fails(cls, *args, **kwargs):
+            if segments:
+                raise OSError("no space left for shared memory")
+            return recording_create(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ShmRing, "create", classmethod(second_ring_fails))
+        with pytest.warns(RuntimeWarning, match="shard round running inline"):
+            result = run_multicore(_config(), parallelism="auto", ring="shm")
+        assert result.degraded is None
+        assert multiprocessing.active_children() == []
+        _assert_unlinked(segments)
 
     def test_forced_process_parallelism_still_raises(self, monkeypatch):
-        import concurrent.futures
-
-        def _no_semaphores(*args, **kwargs):
-            raise OSError("semaphores unavailable")
-
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _no_semaphores
-        )
+        monkeypatch.setattr(multiprocessing.Process, "start", _no_semaphores)
+        segments = _record_shm_segments(monkeypatch)
         with pytest.raises(OSError):
-            _run_tasks(self._tasks(), "process", None)
+            run_multicore(_config(), parallelism="process", ring="shm")
+        _assert_unlinked(segments)
 
     def test_healthy_pool_does_not_warn(self):
+        hub = as_hub(TelemetryConfig())
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = _run_tasks(self._tasks(), "auto", None)
-        assert all(
-            isinstance(outcome, ShardOutcome) for _, outcome in results
-        )
+            result = run_multicore(
+                _config(), parallelism="auto", telemetry=hub
+            )
+        assert result.engine_stats["transport"] in ("shm", "pipe")
+        counters = result.telemetry.metrics.counters
+        assert "campaign.pool_fallbacks" not in counters

@@ -40,8 +40,8 @@ def test_compact_encoding_fits_budget():
 
 
 def test_pickled_outcome_fits_budget():
-    # The pool engine pickles the same outcome; the budget holds for
-    # that wire format too, so both engines stay checkpoint-cheap.
+    # Shard checkpoints pickle the same outcome; the budget holds for
+    # that format too, so checkpoints stay cheap.
     outcome = _outcome(scale=65536)
     payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
     assert len(payload) < OUTCOME_BUDGET_BYTES

@@ -11,10 +11,12 @@ import dataclasses
 import pytest
 
 from repro.core import Campaign, CampaignConfig
+from repro.core.multicore import run_multicore
 from repro.core.shard import (
     ShardTask,
     cluster_namespace_slice,
-    run_sharded,
+    shard_probe_count,
+    shard_seed,
     shard_universe,
 )
 from repro.netsim.seeds import derive_seed
@@ -46,7 +48,7 @@ def serial_2013():
 class TestRenderedTableEquivalence(object):
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_2018_reports_byte_identical(self, serial_2018, workers):
-        sharded = run_sharded(
+        sharded = run_multicore(
             dataclasses.replace(CONFIG_2018, workers=workers),
             parallelism="inline",
         )
@@ -54,16 +56,16 @@ class TestRenderedTableEquivalence(object):
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_2013_reports_byte_identical(self, serial_2013, workers):
-        sharded = run_sharded(
+        sharded = run_multicore(
             dataclasses.replace(CONFIG_2013, workers=workers),
             parallelism="inline",
         )
         assert sharded.report() == serial_2013.report()
 
     def test_process_pool_path_byte_identical(self, serial_2018):
-        # Force real worker processes: the fallback must not mask a
-        # pool that cannot ship shard work across the boundary.
-        sharded = run_sharded(
+        # Force real worker processes: the inline fallback must not
+        # mask workers that cannot ship shard work across the boundary.
+        sharded = run_multicore(
             dataclasses.replace(CONFIG_2018, workers=4),
             parallelism="process",
         )
@@ -81,7 +83,7 @@ class TestRenderedTableEquivalence(object):
 
 class TestMergedArtifacts(object):
     def test_counts_match_serial(self, serial_2018):
-        sharded = run_sharded(
+        sharded = run_multicore(
             dataclasses.replace(CONFIG_2018, workers=4), parallelism="inline"
         )
         assert sharded.capture.q1_sent == serial_2018.capture.q1_sent
@@ -95,7 +97,7 @@ class TestMergedArtifacts(object):
         # fingerprint follow-up scan works exactly as on a serial run.
         from repro.fingerprint import VersionScanner
 
-        sharded = run_sharded(
+        sharded = run_multicore(
             dataclasses.replace(CONFIG_2018, workers=2), parallelism="inline"
         )
         targets = sorted(sharded.population.address_set())
@@ -109,6 +111,20 @@ class TestShardPrimitives(object):
         shards = [shard_universe(universe, i, 4) for i in range(4)]
         merged = sorted(address for shard in shards for address in shard)
         assert merged == universe
+
+    def test_probe_count_is_the_slice_length(self):
+        for total in (0, 1, 7, 103):
+            universe = list(range(total))
+            for workers in (1, 2, 3, 4, 8):
+                for index in range(workers):
+                    assert shard_probe_count(total, index, workers) == len(
+                        shard_universe(universe, index, workers)
+                    )
+
+    def test_one_shard_keeps_the_campaign_seed(self):
+        assert shard_seed(3, 0, 1) == 3
+        assert shard_seed(3, 1, 4) == derive_seed(3, 1, 4)
+        assert shard_seed(3, 0, 2) == derive_seed(3, 0, 2)
 
     def test_namespace_slices_disjoint(self):
         slices = [cluster_namespace_slice(i, 4) for i in range(4)]
@@ -137,4 +153,4 @@ class TestShardPrimitives(object):
 
     def test_unknown_parallelism_rejected(self):
         with pytest.raises(ValueError):
-            run_sharded(CONFIG_2018, parallelism="threads")
+            run_multicore(CONFIG_2018, parallelism="threads")

@@ -76,7 +76,7 @@ class TestShardAssignments:
         self, config, workers
     ):
         universe = _campaign_universe(config)
-        population = _campaign_world(config, universe)[0]
+        population = _campaign_world(config)[0]
         assignments = population.assignments
         owner: dict[int, int] = {}
         for index in range(workers):
@@ -95,7 +95,7 @@ class TestShardAssignments:
 
     def test_keeps_population_order_and_ignores_outside_hosts(self):
         universe = _campaign_universe(CONFIG_2018)
-        population = _campaign_world(CONFIG_2018, universe)[0]
+        population = _campaign_world(CONFIG_2018)[0]
         hosts = population.assignments[:6]
         outside = dataclasses.replace(hosts[0], ip="192.0.2.1")
         assert ip_to_int(outside.ip) not in set(universe)
@@ -112,8 +112,7 @@ def _with_empty_questions(config):
     paper saw 494 such packets in the full 2018 scan), so the hosts are
     flipped here to put unjoinable R2s on the wire.
     """
-    universe = _campaign_universe(config)
-    population = _campaign_world(config, universe)[0]
+    population = _campaign_world(config)[0]
     assignments = [
         dataclasses.replace(
             assignment,
@@ -217,7 +216,7 @@ class TestShardWorkCounters:
         # shard's own work.
         prime_shard_caches(config)
         universe = _campaign_universe(config)
-        population = _campaign_world(config, universe)[0]
+        population = _campaign_world(config)[0]
         addresses = shard_universe(universe, 0, self.WORKERS)
         calls = _count_calls(monkeypatch, "repro.netsim.ipv4", "int_to_ip")
         run_shard(ShardTask(config, index=0, workers=self.WORKERS))
@@ -256,11 +255,9 @@ class TestUniversePrimedWithOverride:
     def test_parent_memo_set_before_a_process_round(self, monkeypatch):
         if not multicore._fork_available():
             pytest.skip("population_override needs the fork start method")
-        config = dataclasses.replace(
-            CONFIG_2018, workers=2, engine="multicore"
-        )
+        config = dataclasses.replace(CONFIG_2018, workers=2)
         universe = _campaign_universe(config)
-        override = _campaign_world(config, universe)[0]
+        override = _campaign_world(config)[0]
         monkeypatch.setattr(shard, "_universe_cache", None)
         seen = []
         real_round = multicore._run_round_processes
@@ -277,3 +274,28 @@ class TestUniversePrimedWithOverride:
         )
         assert seen == [(True, True)]
         assert sum(result.engine_stats["worker_q1"].values()) == len(universe)
+
+
+class TestOneShardSkipsSplitWork:
+    """Shard 0 of 1 probes the whole universe and deploys the whole
+    population, so a serial run pays for no slice, no host filter, and
+    — with a population override — no universe walk at all."""
+
+    def test_serial_run_neither_slices_nor_filters(self, monkeypatch):
+        slices = _count_calls(monkeypatch, "repro.core.shard", "shard_universe")
+        filters = _count_calls(
+            monkeypatch, "repro.core.shard", "shard_assignments"
+        )
+        Campaign(CONFIG_2018).run()
+        assert slices[0] == 0
+        assert filters[0] == 0
+
+    def test_override_run_walks_no_universe(self, monkeypatch):
+        reference = Campaign(CONFIG_2018).run()
+        override = _campaign_world(CONFIG_2018)[0]
+        monkeypatch.setattr(shard, "_universe_cache", None)
+        walks = _count_calls(monkeypatch, "repro.prober.zmap", "probe_list")
+        result = Campaign(CONFIG_2018).run(population_override=override)
+        assert walks[0] == 0
+        assert shard._universe_cache is None
+        assert result.report() == reference.report()

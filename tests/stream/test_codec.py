@@ -11,6 +11,7 @@ exactly what a multicore worker would ship.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -49,6 +50,14 @@ class TestAggregateRoundTrip:
         aggregate = outcome.aggregate
         decoded = decode_aggregate(encode_aggregate(aggregate))
         assert decoded == aggregate
+
+    def test_decoded_state_pickles_no_larger(self, outcome):
+        # Every sharded checkpoint pickles a decoded aggregate, so the
+        # decode must not unshare the addresses the worker's maps share.
+        decoded = decode_aggregate(encode_aggregate(outcome.aggregate))
+        assert len(pickle.dumps(decoded)) <= len(
+            pickle.dumps(outcome.aggregate)
+        )
 
     def test_encoding_is_deterministic(self, outcome):
         assert encode_aggregate(outcome.aggregate) == encode_aggregate(

@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.shard import run_sharded
+from repro.core.multicore import run_multicore
 
 #: Coarse enough that one campaign runs in well under a second.
 SCALE = 65536
@@ -78,21 +78,21 @@ class TestShardedEquivalence(object):
         config = dataclasses.replace(
             CONFIG_2018, fault_profile=profile, workers=workers
         )
-        batch = run_sharded(config, parallelism="inline")
-        streamed = run_sharded(_stream(config), parallelism="inline")
+        batch = run_multicore(config, parallelism="inline")
+        streamed = run_multicore(_stream(config), parallelism="inline")
         assert streamed.report() == batch.report()
 
     def test_2013_sharded_drop_captures(self, ):
         config = dataclasses.replace(CONFIG_2013, workers=3)
-        batch = run_sharded(config, parallelism="inline")
-        streamed = run_sharded(
+        batch = run_multicore(config, parallelism="inline")
+        streamed = run_multicore(
             _stream(config, drop_captures=True), parallelism="inline"
         )
         assert streamed.report() == batch.report()
 
     def test_merged_stream_stats_cover_all_shards(self):
         config = _stream(dataclasses.replace(CONFIG_2018, workers=4))
-        result = run_sharded(config, parallelism="inline")
+        result = run_multicore(config, parallelism="inline")
         serial = Campaign(_stream(CONFIG_2018)).run()
         assert result.stream_stats is not None
         assert result.stream_stats.r2_events == serial.stream_stats.r2_events
@@ -125,10 +125,10 @@ class TestCheckpointResume(object):
             ),
             drop_captures=True,
         )
-        first = run_sharded(
+        first = run_multicore(
             config, parallelism="inline", checkpoint_dir=tmp_path
         )
-        resumed = run_sharded(
+        resumed = run_multicore(
             config, parallelism="inline", checkpoint_dir=tmp_path, resume=True
         )
         assert resumed.report() == first.report()
@@ -137,7 +137,7 @@ class TestCheckpointResume(object):
         config = _stream(
             dataclasses.replace(CONFIG_2018, workers=2), drop_captures=True
         )
-        run_sharded(config, parallelism="inline", checkpoint_dir=tmp_path)
+        run_multicore(config, parallelism="inline", checkpoint_dir=tmp_path)
         shard_files = sorted(tmp_path.glob("shard_*.pkl"))
         assert shard_files, "no shard checkpoints written"
         for path in shard_files:

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.shard import run_sharded
+from repro.core.multicore import run_multicore
 from repro.telemetry import TelemetryConfig, TelemetryHub
 
 from tests.conftest import E2E_SCALE
@@ -116,11 +116,11 @@ class TestByteIdentitySharded:
 
     @pytest.fixture(scope="class")
     def plain(self, sharded_config):
-        return run_sharded(sharded_config, parallelism="inline")
+        return run_multicore(sharded_config, parallelism="inline")
 
     @pytest.fixture(scope="class")
     def traced(self, sharded_config):
-        return run_sharded(
+        return run_multicore(
             sharded_config, parallelism="inline",
             telemetry=TelemetryConfig(),
         )
@@ -161,11 +161,11 @@ class TestResumeCompat:
             CONFIG, scale=65536, seed=3, workers=4
         )
         checkpoint_dir = tmp_path / "ckpt"
-        run_sharded(
+        run_multicore(
             config, parallelism="inline", checkpoint_dir=checkpoint_dir,
             telemetry=TelemetryConfig(),
         )
-        resumed = run_sharded(
+        resumed = run_multicore(
             config, parallelism="inline", checkpoint_dir=checkpoint_dir,
             resume=True, telemetry=TelemetryConfig(),
         )
@@ -184,7 +184,7 @@ class TestResumeCompat:
             CONFIG, scale=65536, seed=3, workers=4
         )
         checkpoint_dir = tmp_path / "ckpt"
-        run_sharded(
+        run_multicore(
             config, parallelism="inline", checkpoint_dir=checkpoint_dir,
         )
         for index in range(4):
@@ -193,7 +193,7 @@ class TestResumeCompat:
             if hasattr(outcome, "telemetry"):
                 del outcome.telemetry
             path.write_bytes(pickle.dumps(outcome))
-        resumed = run_sharded(
+        resumed = run_multicore(
             config, parallelism="inline", checkpoint_dir=checkpoint_dir,
             resume=True, telemetry=TelemetryConfig(),
         )
@@ -215,7 +215,7 @@ class TestFlightDump:
             CONFIG, scale=65536, seed=3, workers=4, max_shard_retries=2
         )
         dump_dir = tmp_path / "post-mortem"
-        result = run_sharded(
+        result = run_multicore(
             config, parallelism="inline",
             telemetry=TelemetryConfig(flight_dump_dir=str(dump_dir)),
         )
